@@ -19,7 +19,7 @@ use crate::config::{ChipConfig, EvictionPolicy};
 use crate::dispatcher::{DispatchPolicy, Dispatcher};
 use crate::isa::HaccInstruction;
 use crate::mapping::ComputeMapping;
-use crate::neuracore::NeuraCore;
+use crate::neuracore::{CoreMemoryRequest, NeuraCore};
 use crate::neuramem::NeuraMem;
 use crate::profile::Profiler;
 use neura_mem::{MemoryController, MemoryRequest, RequestId};
@@ -283,7 +283,7 @@ impl Accelerator {
         let mut cores: Vec<NeuraCore> =
             (0..total_cores).map(|i| NeuraCore::new(i, i / cfg.cores_per_tile, cfg.core)).collect();
         for core in &mut cores {
-            core.prepare(program.output_shape.1 as u64);
+            core.prepare();
         }
         let mut mems: Vec<NeuraMem> =
             (0..total_mems).map(|i| NeuraMem::new(i, cfg.mem, cfg.eviction)).collect();
@@ -307,7 +307,7 @@ impl Accelerator {
         let mut packet_payloads: HashMap<u64, HaccInstruction> = HashMap::new();
         let mut next_packet_id = 0u64;
         let mut read_owner: HashMap<(usize, RequestId), (usize, usize)> = HashMap::new();
-        let mut retry_mem_requests: Vec<(usize, usize, MemoryRequest)> = Vec::new(); // (tile, core, req)
+        let mut retry_mem_requests: Vec<(usize, usize, CoreMemoryRequest)> = Vec::new(); // (tile, core, req)
         let mut retry_injections: Vec<(usize, Packet)> = Vec::new(); // (src core, packet)
         let mut retry_accepts: Vec<(usize, HaccInstruction)> = Vec::new(); // (mem, hacc)
         let mut retry_writebacks: Vec<(usize, MemoryRequest)> = Vec::new(); // (tile, req)
@@ -360,12 +360,10 @@ impl Accelerator {
             }
 
             // Retry previously rejected memory requests before new ones.
-            retry_mem_requests.retain(|(tile, core_idx, request)| {
-                match controllers[*tile].submit(*request, now) {
+            retry_mem_requests.retain(|&(tile, core_idx, req)| {
+                match controllers[tile].submit(req.request, now) {
                     Some(id) => {
-                        // Re-associate with the issuing pipeline recorded in the request owner map
-                        // (pipeline index was folded into the retry entry's core_idx pair).
-                        read_owner.insert((*tile, id), (*core_idx >> 8, *core_idx & 0xFF));
+                        read_owner.insert((tile, id), (core_idx, req.pipeline));
                         false
                     }
                     None => true,
@@ -375,7 +373,7 @@ impl Accelerator {
             // (2, 5) Tick the cores: collect memory requests and HACCs.
             for (core_idx, core) in cores.iter_mut().enumerate() {
                 let credit = if retry_injections.len() > 256 { 0 } else { cfg.core.ports };
-                let out = core.tick(now, credit);
+                let out = core.tick(now, credit, program);
                 if let Some(prof) = profiler.as_deref_mut() {
                     prof.record_core_tick(out.outcome, out.mmh_retired);
                 }
@@ -385,14 +383,7 @@ impl Accelerator {
                         Some(id) => {
                             read_owner.insert((tile, id), (core_idx, req.pipeline));
                         }
-                        None => {
-                            // Encode (core, pipeline) into one usize for the retry list.
-                            retry_mem_requests.push((
-                                tile,
-                                (core_idx << 8) | req.pipeline,
-                                req.request,
-                            ));
-                        }
+                        None => retry_mem_requests.push((tile, core_idx, req)),
                     }
                 }
                 for hacc in out.haccs {
@@ -807,6 +798,24 @@ mod tests {
         assert!(run.report.dram_bytes_read > 0);
         assert!(run.report.dram_bytes_written >= run.report.evictions * 8);
         assert!(run.report.core_utilization > 0.0 && run.report.core_utilization <= 1.0);
+    }
+
+    #[test]
+    fn retried_reads_reach_pipelines_beyond_256() {
+        // One core with 300 pipelines and MMH1 instructions: the graph's
+        // instructions fill pipelines past 255, and a one-slot memory queue
+        // refuses most operand reads, so their responses must find the
+        // right pipeline through the retry path.
+        let a = small_graph(80, 1);
+        let mut config = ChipConfig::tile_4().with_mem_queue_capacity(1);
+        config.tiles = 1;
+        config.core.pipelines = 300;
+        config.mmh_tile = 1;
+        let run = Accelerator::new(config).run_spgemm(&a, &a).expect("simulation drains");
+        let reference = spgemm::gustavson(&a, &a);
+        assert_eq!(run.product.nnz(), reference.nnz());
+        let diff = run.product.to_dense().max_abs_diff(&reference.to_dense()).unwrap();
+        assert!(diff < 1e-9, "accelerator output diverged by {diff}");
     }
 
     #[test]

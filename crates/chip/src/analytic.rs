@@ -627,5 +627,10 @@ mod tests {
             program.instruction_count() as u64,
             "feature mirrors the compiler's instruction stream exactly"
         );
+        let fanin = crate::compiler::tests::fanin_oracle(&a.to_csc(), &a);
+        assert_eq!(w.output_nnz, fanin.len() as u64);
+        assert_eq!(w.partial_products, fanin.values().map(|&f| f as u64).sum::<u64>());
+        assert_eq!(program.output_nnz as u64, w.output_nnz);
+        assert_eq!(program.total_partial_products, w.partial_products);
     }
 }

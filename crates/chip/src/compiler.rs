@@ -7,11 +7,19 @@
 //! operands out in a virtual address space, and — crucially for the
 //! rolling-eviction mechanism — precomputes the contribution count of every
 //! output element so each partial product can carry its eviction counter.
+//!
+//! The counts come from one symbolic row-wise pass
+//! ([`neura_sparse::spgemm::symbolic_rows`]) that writes each partial
+//! product's counter straight into a flat slab in emission order: the slab
+//! *is* the [`layout::COUNTER_BASE`] region the instructions'
+//! `roll_counter_addr` fields point at. Nothing is hashed. The
+//! [`Program`] owns the operands (A in CSC order, B in CSR order, the
+//! counter slab), and each [`MmhWork`] descriptor holds ranges into them.
 
 use crate::isa::{MmhInstruction, MmhWork};
+use neura_sparse::spgemm::symbolic_rows;
 use neura_sparse::{CscMatrix, CsrMatrix, DenseMatrix};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Virtual-address-space layout used by the compiler.
 pub mod layout {
@@ -27,7 +35,8 @@ pub mod layout {
     pub const OUTPUT_BASE: u64 = 0xE000_0000;
 }
 
-/// A compiled workload: the instruction stream plus its metadata.
+/// A compiled workload: the instruction stream, the operands it reads, and
+/// its metadata.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Program {
     /// The `MMH` instruction stream in dispatch order.
@@ -41,20 +50,54 @@ pub struct Program {
     pub total_partial_products: u64,
     /// Number of distinct output elements (non-zeros of the result).
     pub output_nnz: usize,
-    /// Contribution count (reduction fan-in) per output tag.
-    pub fanin: HashMap<u64, u32>,
     /// Tile height used for the MMH instructions.
     pub tile: u8,
     /// Total operand bytes the NeuraCores must read from HBM.
     pub input_bytes: u64,
     /// Total bytes the NeuraMems will write back for the output matrix.
     pub output_bytes: u64,
+    /// Matrix `A` in CSC order (the [`layout::A_DATA_BASE`] region).
+    pub a: CscMatrix,
+    /// Matrix `B` in CSR order (the [`layout::B_COL_IDX_BASE`] and
+    /// [`layout::B_DATA_BASE`] regions).
+    pub b: CsrMatrix,
+    /// Rolling-eviction counter of every partial product in emission order
+    /// (the [`layout::COUNTER_BASE`] region): the fan-in of the output
+    /// element the partial product accumulates into.
+    pub counters: Vec<u32>,
+}
+
+/// The operands one `MMH` instruction reads, borrowed from its [`Program`].
+#[derive(Debug, Clone, Copy)]
+pub struct MmhOperands<'p> {
+    /// Output rows covered (up to `tile` of them).
+    pub a_rows: &'p [usize],
+    /// Values of `A` for each entry of `a_rows`.
+    pub a_values: &'p [f64],
+    /// Column indices of row `k` of `B`.
+    pub b_cols: &'p [usize],
+    /// Values of row `k` of `B`.
+    pub b_values: &'p [f64],
+    /// Rolling-eviction counter of each `(a_row, b_col)` partial product,
+    /// row-major.
+    pub counters: &'p [u32],
 }
 
 impl Program {
     /// Number of `MMH` instructions.
     pub fn instruction_count(&self) -> usize {
         self.instructions.len()
+    }
+
+    /// The operands described by `work`.
+    pub fn operands(&self, work: &MmhWork) -> MmhOperands<'_> {
+        MmhOperands {
+            a_rows: &self.a.row_idx()[work.a_range()],
+            a_values: &self.a.values()[work.a_range()],
+            b_cols: &self.b.col_idx()[work.b_range()],
+            b_values: &self.b.values()[work.b_range()],
+            counters: &self.counters[work.counter_range()],
+        }
     }
 
     /// The output tag of element `(row, col)`.
@@ -78,103 +121,91 @@ impl Program {
 ///
 /// Panics if the shapes are incompatible or `tile` is not 1, 2, 4 or 8.
 pub fn compile_spgemm(a: &CscMatrix, b: &CsrMatrix, tile: u8) -> Program {
+    lower(a.clone(), b.clone(), tile)
+}
+
+fn lower(a: CscMatrix, b: CsrMatrix, tile: u8) -> Program {
     assert!(matches!(tile, 1 | 2 | 4 | 8), "MMH tile height must be 1, 2, 4 or 8");
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
 
-    let out_cols = b.cols() as u64;
-    // Pass 1: symbolic SpGEMM to obtain the contribution count of every
-    // output element (the rolling-eviction counters).
-    let mut fanin: HashMap<u64, u32> = HashMap::new();
+    // The counters of column k of A start at `pp_start[k]`: one block of
+    // nnz(B row k) counters per stored element of the column, in CSC order.
+    let mut pp_start = Vec::with_capacity(a.cols());
+    let mut total = 0usize;
     for k in 0..a.cols() {
-        let (a_rows, _) = a.col(k);
-        let (b_cols, _) = b.row(k);
-        for &i in a_rows {
-            for &j in b_cols {
-                *fanin.entry(i as u64 * out_cols + j as u64).or_insert(0) += 1;
+        pp_start.push(total);
+        total += a.col_nnz(k) * b.row_nnz(k);
+    }
+
+    // Pass 1: symbolic row-wise SpGEMM. When output row i is complete, its
+    // fan-in counts go into the block of every stored element (i, k) of A.
+    // Rows are visited in order and CSC columns list rows in order, so the
+    // position of i within column k is the number of earlier rows of k.
+    let mut counters = vec![0u32; total];
+    let mut output_nnz = 0usize;
+    let a_by_row = a.to_csr();
+    let mut next_in_col = vec![0usize; a.cols()];
+    symbolic_rows(&a_by_row, &b, |i, counts, touched| {
+        output_nnz += touched.len();
+        for &k in a_by_row.row(i).0 {
+            let b_cols = b.row(k).0;
+            let start = pp_start[k] + next_in_col[k] * b_cols.len();
+            next_in_col[k] += 1;
+            for (slot, &j) in counters[start..start + b_cols.len()].iter_mut().zip(b_cols) {
+                *slot = counts[j];
             }
         }
-    }
+    });
 
     // Pass 2: emit the tiled instruction stream.
     let mut instructions = Vec::new();
     let mut row_boundaries = Vec::new();
-    let mut total_partial_products = 0u64;
     let mut input_bytes = 0u64;
-    let mut a_cursor = 0u64; // index into A's value array (CSC order)
-
-    for k in 0..a.cols() {
-        let (a_rows, a_vals) = a.col(k);
-        let (b_cols, b_vals) = b.row(k);
-        if a_rows.is_empty() || b_cols.is_empty() {
-            a_cursor += a_rows.len() as u64;
-            if !instructions.is_empty() {
-                row_boundaries.push(instructions.len());
+    for (k, &col_counters) in pp_start.iter().enumerate() {
+        let (a_first, a_end) = (a.col_ptr()[k], a.col_ptr()[k + 1]);
+        let (b_start, b_len) = (b.row_ptr()[k], b.row_nnz(k));
+        if a_first < a_end && b_len > 0 {
+            for a_start in (a_first..a_end).step_by(tile as usize) {
+                let work = MmhWork {
+                    k,
+                    a_start,
+                    a_len: (tile as usize).min(a_end - a_start),
+                    b_start,
+                    b_len,
+                    counter_start: col_counters + (a_start - a_first) * b_len,
+                };
+                let instr = MmhInstruction {
+                    tile,
+                    base_addr: 0,
+                    a_data_addr: (layout::A_DATA_BASE + a_start as u64 * 8) as u32,
+                    b_col_ind_addr: (layout::B_COL_IDX_BASE + b_start as u64 * 4) as u32,
+                    b_data_addr: (layout::B_DATA_BASE + b_start as u64 * 8) as u32,
+                    roll_counter_addr: (layout::COUNTER_BASE
+                        .wrapping_add(work.counter_start as u64 * 4))
+                        as u32,
+                    work,
+                };
+                input_bytes += instr.operand_bytes() as u64;
+                instructions.push(instr);
             }
+        } else if instructions.is_empty() {
             continue;
         }
-        let b_row_start = b.row_ptr()[k] as u64;
-        for chunk_start in (0..a_rows.len()).step_by(tile as usize) {
-            let chunk_end = (chunk_start + tile as usize).min(a_rows.len());
-            let rows_chunk = &a_rows[chunk_start..chunk_end];
-            let vals_chunk = &a_vals[chunk_start..chunk_end];
-            let mut counters = Vec::with_capacity(rows_chunk.len() * b_cols.len());
-            for &i in rows_chunk {
-                for &j in b_cols {
-                    let tag = i as u64 * out_cols + j as u64;
-                    counters.push(fanin[&tag]);
-                }
-            }
-            let work = MmhWork {
-                k,
-                a_rows: rows_chunk.to_vec(),
-                a_values: vals_chunk.to_vec(),
-                b_cols: b_cols.to_vec(),
-                b_values: b_vals.to_vec(),
-                counters,
-            };
-            let instr = MmhInstruction {
-                tile,
-                base_addr: 0,
-                a_data_addr: (layout::A_DATA_BASE + (a_cursor + chunk_start as u64) * 8) as u32,
-                b_col_ind_addr: (layout::B_COL_IDX_BASE + b_row_start * 4) as u32,
-                b_data_addr: (layout::B_DATA_BASE + b_row_start * 8) as u32,
-                roll_counter_addr: (layout::COUNTER_BASE.wrapping_add(total_partial_products * 4))
-                    as u32,
-                work: instr_work_placeholder(),
-            };
-            // `instr_work_placeholder` keeps construction order readable; fill now.
-            let mut instr = instr;
-            instr.work = work;
-            total_partial_products += instr.hacc_count() as u64;
-            input_bytes += instr.operand_bytes() as u64;
-            instructions.push(instr);
-        }
-        a_cursor += a_rows.len() as u64;
         row_boundaries.push(instructions.len());
     }
 
-    let output_nnz = fanin.len();
     Program {
         instructions,
         row_boundaries,
         output_shape: (a.rows(), b.cols()),
-        total_partial_products,
+        total_partial_products: total as u64,
         output_nnz,
-        fanin,
         tile,
         input_bytes,
         output_bytes: output_nnz as u64 * 8,
-    }
-}
-
-fn instr_work_placeholder() -> MmhWork {
-    MmhWork {
-        k: 0,
-        a_rows: Vec::new(),
-        a_values: Vec::new(),
-        b_cols: Vec::new(),
-        b_values: Vec::new(),
-        counters: Vec::new(),
+        a,
+        b,
+        counters,
     }
 }
 
@@ -185,8 +216,7 @@ fn instr_work_placeholder() -> MmhWork {
 /// `feature_dim` stored elements, which is exactly how the paper's
 /// aggregation-phase SpGEMM treats dense features.
 pub fn compile_aggregation(a: &CscMatrix, features: &DenseMatrix, tile: u8) -> Program {
-    let features_csr = dense_to_csr(features);
-    compile_spgemm(a, &features_csr, tile)
+    lower(a.clone(), dense_to_csr(features), tile)
 }
 
 /// Converts a dense matrix to CSR keeping every entry (including zeros) so
@@ -202,10 +232,25 @@ fn dense_to_csr(m: &DenseMatrix) -> CsrMatrix {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use neura_sparse::gen::{feature_matrix, GraphGenerator};
     use neura_sparse::spgemm;
+    use std::collections::HashMap;
+
+    /// Fan-in of every output tag of `A × B`, counted with a hash map per
+    /// partial product: the oracle the counter slab is checked against.
+    pub(crate) fn fanin_oracle(a: &CscMatrix, b: &CsrMatrix) -> HashMap<u64, u32> {
+        let mut fanin = HashMap::new();
+        for k in 0..a.cols() {
+            for &i in a.col(k).0 {
+                for &j in b.row(k).0 {
+                    *fanin.entry(i as u64 * b.cols() as u64 + j as u64).or_insert(0) += 1;
+                }
+            }
+        }
+        fanin
+    }
 
     fn small_graph(seed: u64) -> CsrMatrix {
         GraphGenerator::power_law(60, 400, 2.1, seed).generate().to_csr()
@@ -224,9 +269,11 @@ mod tests {
     fn fanin_sums_to_partial_products() {
         let a = small_graph(2);
         let program = compile_spgemm(&a.to_csc(), &a, 4);
-        let fanin_sum: u64 = program.fanin.values().map(|&f| f as u64).sum();
+        let fanin = fanin_oracle(&a.to_csc(), &a);
+        let fanin_sum: u64 = fanin.values().map(|&f| f as u64).sum();
         assert_eq!(fanin_sum, program.total_partial_products);
-        assert!(program.fanin.values().all(|&f| f >= 1));
+        assert_eq!(fanin.len(), program.output_nnz);
+        assert!(fanin.values().all(|&f| f >= 1));
     }
 
     #[test]
@@ -237,7 +284,7 @@ mod tests {
             assert!(program
                 .instructions
                 .iter()
-                .all(|i| i.work.a_rows.len() <= tile as usize && !i.work.a_rows.is_empty()));
+                .all(|i| i.work.a_len <= tile as usize && i.work.a_len > 0));
             assert!(program.instructions.iter().all(|i| i.tile == tile));
         }
     }
@@ -257,15 +304,18 @@ mod tests {
     fn counters_match_fanin_for_each_partial_product() {
         let a = small_graph(5);
         let program = compile_spgemm(&a.to_csc(), &a, 4);
+        let fanin = fanin_oracle(&a.to_csc(), &a);
         for instr in &program.instructions {
+            let ops = program.operands(&instr.work);
             let mut idx = 0;
-            for &i in &instr.work.a_rows {
-                for &j in &instr.work.b_cols {
+            for &i in ops.a_rows {
+                for &j in ops.b_cols {
                     let tag = program.tag_of(i, j);
-                    assert_eq!(instr.work.counters[idx], program.fanin[&tag]);
+                    assert_eq!(ops.counters[idx], fanin[&tag]);
                     idx += 1;
                 }
             }
+            assert_eq!(idx, ops.counters.len());
         }
     }
 

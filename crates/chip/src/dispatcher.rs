@@ -32,11 +32,11 @@ pub struct DispatcherStats {
     pub rows_completed: u64,
 }
 
-/// The dispatcher walks a [`Program`] and feeds NeuraCores.
+/// The dispatcher walks a [`Program`] and feeds NeuraCores. It borrows the
+/// program and hands out `Copy` instructions, so nothing is cloned.
 #[derive(Debug)]
-pub struct Dispatcher {
-    instructions: Vec<MmhInstruction>,
-    row_boundaries: Vec<usize>,
+pub struct Dispatcher<'p> {
+    program: &'p Program,
     next_instruction: usize,
     next_boundary: usize,
     policy: DispatchPolicy,
@@ -46,17 +46,16 @@ pub struct Dispatcher {
     stats: DispatcherStats,
 }
 
-impl Dispatcher {
+impl<'p> Dispatcher<'p> {
     /// Creates a dispatcher over a compiled program for `cores` NeuraCores.
     pub fn new(
-        program: &Program,
+        program: &'p Program,
         cores: usize,
         policy: DispatchPolicy,
         dispatch_width: usize,
     ) -> Self {
         Dispatcher {
-            instructions: program.instructions.clone(),
-            row_boundaries: program.row_boundaries.clone(),
+            program,
             next_instruction: 0,
             next_boundary: 0,
             policy,
@@ -69,7 +68,7 @@ impl Dispatcher {
 
     /// Number of instructions not yet dispatched.
     pub fn remaining(&self) -> usize {
-        self.instructions.len() - self.next_instruction
+        self.program.instructions.len() - self.next_instruction
     }
 
     /// True when every instruction has been dispatched.
@@ -136,7 +135,7 @@ impl Dispatcher {
                 blocked = true;
                 break;
             };
-            let instr = self.instructions[self.next_instruction].clone();
+            let instr = self.program.instructions[self.next_instruction];
             if !assign(core, instr) {
                 // This core's instruction buffer is full; try the others.
                 acceptable[core] = false;
@@ -151,8 +150,9 @@ impl Dispatcher {
             dispatched_this_cycle += 1;
 
             // Row boundaries crossed by this dispatch.
-            while self.next_boundary < self.row_boundaries.len()
-                && self.row_boundaries[self.next_boundary] <= self.next_instruction
+            let boundaries = &self.program.row_boundaries;
+            while self.next_boundary < boundaries.len()
+                && boundaries[self.next_boundary] <= self.next_instruction
             {
                 self.next_boundary += 1;
                 self.stats.rows_completed += 1;

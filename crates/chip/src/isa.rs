@@ -10,8 +10,14 @@
 //! * `hash_accumulate` (`HACC`) — executed by a NeuraMem: hashes the TAG,
 //!   accumulates DATA into the matching hash-line and decrements the rolling
 //!   eviction COUNTER.
+//!
+//! In the simulator an `MMH` instruction is a small `Copy` value: its
+//! [`MmhWork`] descriptor carries ranges into the operand arrays and the
+//! rolling-counter slab of the compiled
+//! [`Program`](crate::compiler::Program), not copies of the operands.
 
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Operation codes of the extended ISA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -52,9 +58,10 @@ impl Opcode {
 ///
 /// The address fields are byte offsets relative to `base_addr`, exactly as in
 /// Algorithm 1.  The `work` field carries the decoded task metadata the
-/// simulator needs (which output rows / inner index the instruction covers);
-/// hardware would re-derive this from the fetched operands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// simulator needs (which inner index and which operand ranges the
+/// instruction covers); hardware would re-derive this from the fetched
+/// operands.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MmhInstruction {
     /// Tile height `N` (1, 2, 4 or 8).
     pub tile: u8,
@@ -73,36 +80,58 @@ pub struct MmhInstruction {
 }
 
 /// Decoded task metadata carried alongside an [`MmhInstruction`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A descriptor of ranges, not a copy of the operands: the ranges index the
+/// arrays the compiled [`Program`](crate::compiler::Program) owns (A in CSC
+/// order, B in CSR order, and the rolling-counter slab), the same arrays
+/// the instruction's address fields point at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MmhWork {
     /// Shared inner index `k` (column of `A`, row of `B`).
     pub k: usize,
-    /// Output rows covered (up to `tile` of them) and the A values.
-    pub a_rows: Vec<usize>,
-    /// Values of `A` for each entry of `a_rows`.
-    pub a_values: Vec<f64>,
-    /// Column indices of row `k` of `B`.
-    pub b_cols: Vec<usize>,
-    /// Values of row `k` of `B`.
-    pub b_values: Vec<f64>,
-    /// Rolling-eviction counter for each `(a_row, b_col)` partial product,
-    /// laid out row-major (`a_rows.len() × b_cols.len()`).
-    pub counters: Vec<u32>,
+    /// First stored element of `A` (CSC order) the instruction pairs up.
+    pub a_start: usize,
+    /// Number of stored elements of `A` (at most the tile height).
+    pub a_len: usize,
+    /// First stored element of row `k` of `B` (CSR order).
+    pub b_start: usize,
+    /// Number of stored elements of row `k` of `B`.
+    pub b_len: usize,
+    /// First of the `a_len × b_len` rolling-eviction counters, one per
+    /// partial product, laid out row-major.
+    pub counter_start: usize,
+}
+
+impl MmhWork {
+    /// Range of the instruction's elements of `A` (CSC order).
+    pub fn a_range(&self) -> Range<usize> {
+        self.a_start..self.a_start + self.a_len
+    }
+
+    /// Range of row `k` of `B` (CSR order).
+    pub fn b_range(&self) -> Range<usize> {
+        self.b_start..self.b_start + self.b_len
+    }
+
+    /// Range of the instruction's rolling-eviction counters.
+    pub fn counter_range(&self) -> Range<usize> {
+        self.counter_start..self.counter_start + self.a_len * self.b_len
+    }
 }
 
 impl MmhInstruction {
     /// Number of `HACC` instructions this instruction will dispatch.
     pub fn hacc_count(&self) -> usize {
-        self.work.a_rows.len() * self.work.b_cols.len()
+        self.work.a_len * self.work.b_len
     }
 
     /// Number of operand bytes the NeuraCore must fetch from memory:
     /// A values, B column indices, B values and rolling counters.
     pub fn operand_bytes(&self) -> usize {
-        let a = self.work.a_rows.len() * 8;
-        let b_idx = self.work.b_cols.len() * 4;
-        let b_val = self.work.b_values.len() * 8;
-        let ctr = self.work.counters.len() * 4;
+        let a = self.work.a_len * 8;
+        let b_idx = self.work.b_len * 4;
+        let b_val = self.work.b_len * 8;
+        let ctr = self.hacc_count() * 4;
         a + b_idx + b_val + ctr
     }
 
@@ -179,14 +208,7 @@ mod tests {
             b_col_ind_addr: 0x20,
             b_data_addr: 0x30,
             roll_counter_addr: 0x40,
-            work: MmhWork {
-                k: 3,
-                a_rows: vec![0, 2, 5],
-                a_values: vec![1.0, 2.0, 3.0],
-                b_cols: vec![1, 4],
-                b_values: vec![0.5, 0.25],
-                counters: vec![0; 6],
-            },
+            work: MmhWork { k: 3, a_start: 5, a_len: 3, b_start: 7, b_len: 2, counter_start: 40 },
         }
     }
 
@@ -210,6 +232,9 @@ mod tests {
         assert_eq!(mmh.hacc_count(), 6);
         // 3 A values (24B) + 2 B indices (8B) + 2 B values (16B) + 6 counters (24B).
         assert_eq!(mmh.operand_bytes(), 24 + 8 + 16 + 24);
+        assert_eq!(mmh.work.a_range(), 5..8);
+        assert_eq!(mmh.work.b_range(), 7..9);
+        assert_eq!(mmh.work.counter_range(), 40..46);
     }
 
     #[test]
@@ -241,11 +266,9 @@ mod tests {
     #[test]
     fn mmh4_can_dispatch_up_to_16_haccs() {
         let mut mmh = sample_mmh();
-        mmh.work.a_rows = vec![0, 1, 2, 3];
-        mmh.work.a_values = vec![1.0; 4];
-        mmh.work.b_cols = vec![0, 1, 2, 3];
-        mmh.work.b_values = vec![1.0; 4];
-        mmh.work.counters = vec![0; 16];
+        mmh.work.a_len = 4;
+        mmh.work.b_len = 4;
         assert_eq!(mmh.hacc_count(), 16);
+        assert_eq!(mmh.work.counter_range(), 40..56);
     }
 }

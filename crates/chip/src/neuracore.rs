@@ -12,6 +12,7 @@
 //! former to the memory controller and the latter onto the NoC, and calls
 //! [`NeuraCore::memory_response`] when data returns.
 
+use crate::compiler::Program;
 use crate::config::NeuraCoreConfig;
 use crate::isa::{HaccInstruction, MmhInstruction};
 use neura_mem::MemoryRequest;
@@ -113,8 +114,6 @@ pub struct NeuraCore {
     pipelines: Vec<Pipeline>,
     /// Generated HACCs awaiting injection into the NoC (bounded by ports × 8).
     outbox: VecDeque<HaccInstruction>,
-    /// Number of output columns of the current program (for tag computation).
-    out_cols: u64,
     stats: NeuraCoreStats,
     cpi_histogram: Histogram,
     next_pipeline: usize,
@@ -132,7 +131,6 @@ impl NeuraCore {
             instx: VecDeque::new(),
             pipelines,
             outbox: VecDeque::new(),
-            out_cols: 1,
             stats: NeuraCoreStats::default(),
             cpi_histogram: Histogram::new(25, 20),
             next_pipeline: 0,
@@ -149,10 +147,8 @@ impl NeuraCore {
         self.tile
     }
 
-    /// Prepares the core for a new program by setting the output-matrix width
-    /// used for tag computation and clearing residual state.
-    pub fn prepare(&mut self, out_cols: u64) {
-        self.out_cols = out_cols.max(1);
+    /// Prepares the core for a new program by clearing residual state.
+    pub fn prepare(&mut self) {
         self.instx.clear();
         self.outbox.clear();
         for p in &mut self.pipelines {
@@ -213,8 +209,9 @@ impl NeuraCore {
     /// Advances the core one cycle.
     ///
     /// `output_credit` bounds how many HACCs may be handed to the NoC this
-    /// cycle (router injection back-pressure).
-    pub fn tick(&mut self, now: Cycle, output_credit: usize) -> CoreTickOutput {
+    /// cycle (router injection back-pressure). Operands are read from
+    /// `program`, the program the executing instructions belong to.
+    pub fn tick(&mut self, now: Cycle, output_credit: usize, program: &Program) -> CoreTickOutput {
         let mut output = CoreTickOutput::default();
         let cycle = now.as_u64();
         let mut any_busy = false;
@@ -247,10 +244,10 @@ impl NeuraCore {
                         // B data and the rolling counters (Algorithm 1).
                         let base = instr.base_addr as u64;
                         let requests = [
-                            (instr.a_data_addr as u64, instr.work.a_rows.len() * 8),
-                            (instr.b_col_ind_addr as u64, instr.work.b_cols.len() * 4),
-                            (instr.b_data_addr as u64, instr.work.b_values.len() * 8),
-                            (instr.roll_counter_addr as u64, instr.work.counters.len() * 4),
+                            (instr.a_data_addr as u64, instr.work.a_len * 8),
+                            (instr.b_col_ind_addr as u64, instr.work.b_len * 4),
+                            (instr.b_data_addr as u64, instr.work.b_len * 8),
+                            (instr.roll_counter_addr as u64, instr.hacc_count() * 4),
                         ];
                         for (addr, bytes) in requests {
                             output.memory_requests.push(CoreMemoryRequest {
@@ -259,52 +256,20 @@ impl NeuraCore {
                             });
                         }
                         self.stats.memory_requests += 4;
-                        let instr = std::mem::replace(
-                            instr,
-                            MmhInstruction {
-                                tile: 1,
-                                base_addr: 0,
-                                a_data_addr: 0,
-                                b_col_ind_addr: 0,
-                                b_data_addr: 0,
-                                roll_counter_addr: 0,
-                                work: crate::isa::MmhWork {
-                                    k: 0,
-                                    a_rows: Vec::new(),
-                                    a_values: Vec::new(),
-                                    b_cols: Vec::new(),
-                                    b_values: Vec::new(),
-                                    counters: Vec::new(),
-                                },
-                            },
-                        );
-                        let started = *started;
-                        pipeline.state = PipelineState::WaitMem { instr, outstanding: 4, started };
+                        pipeline.state = PipelineState::WaitMem {
+                            instr: *instr,
+                            outstanding: 4,
+                            started: *started,
+                        };
                     }
                 }
                 PipelineState::WaitMem { instr, outstanding, started } => {
                     if *outstanding == 0 {
-                        let instr = std::mem::replace(
-                            instr,
-                            MmhInstruction {
-                                tile: 1,
-                                base_addr: 0,
-                                a_data_addr: 0,
-                                b_col_ind_addr: 0,
-                                b_data_addr: 0,
-                                roll_counter_addr: 0,
-                                work: crate::isa::MmhWork {
-                                    k: 0,
-                                    a_rows: Vec::new(),
-                                    a_values: Vec::new(),
-                                    b_cols: Vec::new(),
-                                    b_values: Vec::new(),
-                                    counters: Vec::new(),
-                                },
-                            },
-                        );
-                        let started = *started;
-                        pipeline.state = PipelineState::Compute { instr, produced: 0, started };
+                        pipeline.state = PipelineState::Compute {
+                            instr: *instr,
+                            produced: 0,
+                            started: *started,
+                        };
                         any_busy = true;
                     } else {
                         any_stalled = true;
@@ -313,18 +278,17 @@ impl NeuraCore {
                 PipelineState::Compute { instr, produced, started } => {
                     any_busy = true;
                     let total = instr.hacc_count();
+                    let ops = program.operands(&instr.work);
                     while *produced < total
                         && multiplier_budget > 0
                         && self.outbox.len() < outbox_cap
                     {
-                        let b_len = instr.work.b_cols.len();
+                        let b_len = ops.b_cols.len();
                         let a_idx = *produced / b_len;
                         let b_idx = *produced % b_len;
-                        let row = instr.work.a_rows[a_idx];
-                        let col = instr.work.b_cols[b_idx];
-                        let value = instr.work.a_values[a_idx] * instr.work.b_values[b_idx];
-                        let counter = instr.work.counters[*produced];
-                        let tag = row as u64 * self.out_cols + col as u64;
+                        let tag = program.tag_of(ops.a_rows[a_idx], ops.b_cols[b_idx]);
+                        let value = ops.a_values[a_idx] * ops.b_values[b_idx];
+                        let counter = ops.counters[*produced];
                         let mut hacc = HaccInstruction::new(tag, value, counter);
                         hacc.generated_at = cycle;
                         self.outbox.push_back(hacc);
@@ -368,7 +332,8 @@ impl NeuraCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::MmhWork;
+    use crate::compiler::compile_spgemm;
+    use neura_sparse::{CscMatrix, CsrMatrix};
 
     fn core_config() -> NeuraCoreConfig {
         NeuraCoreConfig {
@@ -381,36 +346,48 @@ mod tests {
         }
     }
 
-    fn mmh(tile: u8, rows: &[usize], cols: &[usize]) -> MmhInstruction {
-        MmhInstruction {
-            tile,
-            base_addr: 0,
-            a_data_addr: 0x100,
-            b_col_ind_addr: 0x200,
-            b_data_addr: 0x300,
-            roll_counter_addr: 0x400,
-            work: MmhWork {
-                k: 0,
-                a_rows: rows.to_vec(),
-                a_values: vec![2.0; rows.len()],
-                b_cols: cols.to_vec(),
-                b_values: vec![3.0; cols.len()],
-                counters: vec![1; rows.len() * cols.len()],
-            },
-        }
+    /// A one-instruction `MMH<tile>` program: the stored elements `rows` of
+    /// column 0 of `A` (all 2.0) times row 0 of `B` at `cols` (all 3.0), with
+    /// `out_cols` output columns. Every partial product has fan-in 1.
+    fn program(tile: u8, rows: &[usize], cols: &[usize], out_cols: usize) -> Program {
+        let a_rows = rows.iter().max().map_or(1, |&r| r + 1);
+        let a = CscMatrix::from_raw_parts(
+            a_rows,
+            1,
+            vec![0, rows.len()],
+            rows.to_vec(),
+            vec![2.0; rows.len()],
+        )
+        .unwrap();
+        let b = CsrMatrix::from_raw_parts(
+            1,
+            out_cols,
+            vec![0, cols.len()],
+            cols.to_vec(),
+            vec![3.0; cols.len()],
+        )
+        .unwrap();
+        let program = compile_spgemm(&a, &b, tile);
+        assert_eq!(program.instruction_count(), 1);
+        program
+    }
+
+    fn mmh(program: &Program) -> MmhInstruction {
+        program.instructions[0]
     }
 
     /// Drives the core until idle, acknowledging all memory requests after
     /// `mem_latency` cycles.  Returns all generated HACCs.
     fn run_to_completion(
         core: &mut NeuraCore,
+        program: &Program,
         mem_latency: u64,
         max_cycles: u64,
     ) -> Vec<HaccInstruction> {
         let mut haccs = Vec::new();
         let mut pending: Vec<(u64, usize)> = Vec::new(); // (ready_cycle, pipeline)
         for c in 0..max_cycles {
-            let out = core.tick(Cycle(c), 16);
+            let out = core.tick(Cycle(c), 16, program);
             for req in out.memory_requests {
                 pending.push((c + mem_latency, req.pipeline));
             }
@@ -429,10 +406,11 @@ mod tests {
 
     #[test]
     fn executes_a_single_mmh_and_produces_all_haccs() {
+        let p = program(4, &[0, 1, 2, 3], &[0, 1, 2, 3], 16);
         let mut core = NeuraCore::new(0, 0, core_config());
-        core.prepare(16);
-        assert!(core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3])));
-        let haccs = run_to_completion(&mut core, 10, 500);
+        core.prepare();
+        assert!(core.accept(mmh(&p)));
+        let haccs = run_to_completion(&mut core, &p, 10, 500);
         assert_eq!(haccs.len(), 16);
         assert!(core.is_idle());
         assert_eq!(core.stats().mmh_completed, 1);
@@ -445,38 +423,41 @@ mod tests {
 
     #[test]
     fn instruction_buffer_enforces_capacity() {
+        let p = program(1, &[0], &[0], 4);
         let mut core = NeuraCore::new(0, 0, core_config());
-        core.prepare(4);
+        core.prepare();
         for _ in 0..4 {
-            assert!(core.accept(mmh(1, &[0], &[0])));
+            assert!(core.accept(mmh(&p)));
         }
-        assert!(!core.accept(mmh(1, &[0], &[0])));
+        assert!(!core.accept(mmh(&p)));
         assert_eq!(core.stats().mmh_accepted, 4);
     }
 
     #[test]
     fn memory_latency_creates_stall_cycles() {
+        let p = program(4, &[0, 1], &[0, 1], 8);
         let mut fast = NeuraCore::new(0, 0, core_config());
-        fast.prepare(8);
-        fast.accept(mmh(4, &[0, 1], &[0, 1]));
-        run_to_completion(&mut fast, 2, 500);
+        fast.prepare();
+        fast.accept(mmh(&p));
+        run_to_completion(&mut fast, &p, 2, 500);
 
         let mut slow = NeuraCore::new(1, 0, core_config());
-        slow.prepare(8);
-        slow.accept(mmh(4, &[0, 1], &[0, 1]));
-        run_to_completion(&mut slow, 100, 1_000);
+        slow.prepare();
+        slow.accept(mmh(&p));
+        run_to_completion(&mut slow, &p, 100, 1_000);
 
         assert!(slow.stats().stall_cycles > fast.stats().stall_cycles);
     }
 
     #[test]
     fn cpi_histogram_records_completed_instructions() {
+        let p = program(2, &[0, 1], &[0, 1, 2], 8);
         let mut core = NeuraCore::new(0, 0, core_config());
-        core.prepare(8);
+        core.prepare();
         for _ in 0..3 {
-            core.accept(mmh(2, &[0, 1], &[0, 1, 2]));
+            core.accept(mmh(&p));
         }
-        run_to_completion(&mut core, 20, 2_000);
+        run_to_completion(&mut core, &p, 20, 2_000);
         assert_eq!(core.cpi_histogram().count(), 3);
         assert!(core.cpi_histogram().mean() > 20.0);
         assert!(core.stats().cpi() > 0.0);
@@ -484,21 +465,22 @@ mod tests {
 
     #[test]
     fn output_credit_limits_hacc_injection_per_cycle() {
+        let p = program(4, &[0, 1, 2, 3], &[0, 1, 2, 3], 8);
         let mut core = NeuraCore::new(0, 0, core_config());
-        core.prepare(8);
-        core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1, 2, 3]));
+        core.prepare();
+        core.accept(mmh(&p));
         // Run with zero output credit: HACCs accumulate internally, none escape.
         let mut produced = 0;
         let mut pending: Vec<(u64, usize)> = Vec::new();
         for c in 0..200u64 {
-            let out = core.tick(Cycle(c), 0);
+            let out = core.tick(Cycle(c), 0, &p);
             for req in out.memory_requests {
                 pending.push((c + 5, req.pipeline));
             }
             let (ready, rest): (Vec<_>, Vec<_>) = pending.into_iter().partition(|&(t, _)| t <= c);
             pending = rest;
-            for (_, p) in ready {
-                core.memory_response(p);
+            for (_, pipeline) in ready {
+                core.memory_response(pipeline);
             }
             produced += out.haccs.len();
         }
@@ -507,38 +489,40 @@ mod tests {
         // Granting credit drains them.
         let mut drained = 0;
         for c in 200..400u64 {
-            drained += core.tick(Cycle(c), 4).haccs.len();
+            drained += core.tick(Cycle(c), 4, &p).haccs.len();
         }
         assert_eq!(drained, 16);
     }
 
     #[test]
     fn load_counts_buffered_and_executing_instructions() {
+        let p = program(1, &[0], &[0], 8);
         let mut core = NeuraCore::new(0, 0, core_config());
-        core.prepare(8);
+        core.prepare();
         assert_eq!(core.load(), 0);
-        core.accept(mmh(1, &[0], &[0]));
-        core.accept(mmh(1, &[1], &[0]));
+        core.accept(mmh(&p));
+        core.accept(mmh(&p));
         assert_eq!(core.load(), 2);
     }
 
     #[test]
     fn four_memory_requests_per_mmh() {
+        let p = program(4, &[0, 1, 2, 3], &[0, 1], 8);
         let mut core = NeuraCore::new(0, 0, core_config());
-        core.prepare(8);
-        core.accept(mmh(4, &[0, 1, 2, 3], &[0, 1]));
+        core.prepare();
+        core.accept(mmh(&p));
         let mut requests = 0;
         let mut pending: Vec<(u64, usize)> = Vec::new();
         for c in 0..50u64 {
-            let out = core.tick(Cycle(c), 16);
+            let out = core.tick(Cycle(c), 16, &p);
             requests += out.memory_requests.len();
             for req in out.memory_requests {
                 pending.push((c + 1, req.pipeline));
             }
             let (ready, rest): (Vec<_>, Vec<_>) = pending.into_iter().partition(|&(t, _)| t <= c);
             pending = rest;
-            for (_, p) in ready {
-                core.memory_response(p);
+            for (_, pipeline) in ready {
+                core.memory_response(pipeline);
             }
         }
         assert_eq!(requests, 4);

@@ -43,10 +43,15 @@ impl BloatReport {
     }
 }
 
-/// Analyses the memory bloat of `A × B` without materialising intermediates
-/// beyond the row-wise accumulator.
+/// Analyses the memory bloat of `A × B` with a symbolic row-wise pass
+/// ([`spgemm::symbolic_rows`]): partial products and output non-zeros are
+/// counted, no value is multiplied.
 pub fn analyze(a: &CsrMatrix, b: &CsrMatrix) -> BloatReport {
-    let (_, stats) = spgemm::multiply_counting(a, b);
+    let mut stats = spgemm::SpgemmStats::default();
+    spgemm::symbolic_rows(a, b, |_, counts, touched| {
+        stats.output_nnz += touched.len();
+        stats.multiplications += touched.iter().map(|&j| counts[j] as u64).sum::<u64>();
+    });
     BloatReport {
         intermediate_partial_products: stats.multiplications,
         output_nnz: stats.output_nnz,

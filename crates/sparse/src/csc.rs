@@ -182,9 +182,13 @@ impl CscMatrix {
             .expect("CSC entries are always in bounds")
     }
 
-    /// Converts to compressed sparse row format.
+    /// Converts to compressed sparse row format with an O(nnz) counting
+    /// sort; explicit zeros are kept.
     pub fn to_csr(&self) -> CsrMatrix {
-        self.to_coo().to_csr()
+        let (row_ptr, col_idx, values) =
+            crate::csr::transpose_compressed(self.rows, &self.col_ptr, &self.row_idx, &self.values);
+        CsrMatrix::from_raw_parts(self.rows, self.cols, row_ptr, col_idx, values)
+            .expect("a transposed CSC is a structurally valid CSR")
     }
 
     /// Converts to a dense matrix.

@@ -197,9 +197,13 @@ impl CsrMatrix {
             .expect("CSR entries are always in bounds")
     }
 
-    /// Converts to compressed sparse column format.
+    /// Converts to compressed sparse column format with an O(nnz) counting
+    /// sort; explicit zeros are kept.
     pub fn to_csc(&self) -> CscMatrix {
-        self.to_coo().to_csc()
+        let (col_ptr, row_idx, values) =
+            transpose_compressed(self.cols, &self.row_ptr, &self.col_idx, &self.values);
+        CscMatrix::from_raw_parts(self.rows, self.cols, col_ptr, row_idx, values)
+            .expect("a transposed CSR is a structurally valid CSC")
     }
 
     /// Converts to a dense matrix.
@@ -211,13 +215,12 @@ impl CsrMatrix {
         dense
     }
 
-    /// Returns the transpose as a new CSR matrix.
+    /// Returns the transpose as a new CSR matrix (an O(nnz) counting sort).
     pub fn transpose(&self) -> CsrMatrix {
-        let mut coo = CooMatrix::new(self.cols, self.rows);
-        for (r, c, v) in self.iter() {
-            coo.push(c, r, v).expect("transposed entry is in bounds");
-        }
-        coo.to_csr()
+        let (row_ptr, col_idx, values) =
+            transpose_compressed(self.cols, &self.row_ptr, &self.col_idx, &self.values);
+        CsrMatrix::from_raw_parts(self.cols, self.rows, row_ptr, col_idx, values)
+            .expect("a transposed CSR is a structurally valid CSR")
     }
 
     /// Multiplies every stored value by `scale` in place.
@@ -247,6 +250,37 @@ impl CsrMatrix {
     pub fn max_row_nnz(&self) -> usize {
         (0..self.rows).map(|r| self.row_nnz(r)).max().unwrap_or(0)
     }
+}
+
+/// Transposes compressed storage by counting sort: `ptr`/`idx`/`values`
+/// group the entries by major index (`ptr.len() - 1` majors, each minor
+/// index `< minors`); the result groups the same entries by minor index.
+/// Majors are visited in order, so every output lane comes out sorted.
+pub(crate) fn transpose_compressed(
+    minors: usize,
+    ptr: &[usize],
+    idx: &[usize],
+    values: &[f64],
+) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut out_ptr = vec![0usize; minors + 1];
+    for &m in idx {
+        out_ptr[m + 1] += 1;
+    }
+    for m in 0..minors {
+        out_ptr[m + 1] += out_ptr[m];
+    }
+    let mut next = out_ptr[..minors].to_vec();
+    let mut out_idx = vec![0usize; idx.len()];
+    let mut out_values = vec![0.0f64; idx.len()];
+    for (major, lane) in ptr.windows(2).enumerate() {
+        for p in lane[0]..lane[1] {
+            let slot = &mut next[idx[p]];
+            out_idx[*slot] = major;
+            out_values[*slot] = values[p];
+            *slot += 1;
+        }
+    }
+    (out_ptr, out_idx, out_values)
 }
 
 impl From<CooMatrix> for CsrMatrix {

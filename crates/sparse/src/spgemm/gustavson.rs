@@ -66,6 +66,40 @@ pub fn gustavson_with_stats(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmS
     (product, stats)
 }
 
+/// Symbolic row-wise (Gustavson) pass over the structure of `C = A × B`.
+///
+/// For every row `i` of `A`, in order, the partial products of row `i` of
+/// `C` are counted into a dense `b.cols()`-sized array with a touched list
+/// (the sparse accumulator without values), then `visit(i, counts,
+/// touched)` is called: `touched` lists, in first-touch order, the columns
+/// of row `i` of `C` that receive at least one partial product, and
+/// `counts[j]` is the fan-in of `C[i][j]`. No values are read and nothing
+/// is hashed.
+///
+/// # Panics
+///
+/// Panics if `a.cols() != b.rows()`.
+pub fn symbolic_rows(a: &CsrMatrix, b: &CsrMatrix, mut visit: impl FnMut(usize, &[u32], &[usize])) {
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    let mut counts = vec![0u32; b.cols()];
+    let mut touched: Vec<usize> = Vec::new();
+    for i in 0..a.rows() {
+        for &k in a.row(i).0 {
+            for &j in b.row(k).0 {
+                if counts[j] == 0 {
+                    touched.push(j);
+                }
+                counts[j] += 1;
+            }
+        }
+        visit(i, &counts, &touched);
+        for &j in &touched {
+            counts[j] = 0;
+        }
+        touched.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,6 +143,21 @@ mod tests {
         assert_eq!(stats.additions, 2);
         assert_eq!(stats.max_row_partial_products, 4);
         assert_eq!(stats.active_rows, 2);
+    }
+
+    #[test]
+    fn symbolic_rows_count_the_fan_in_of_every_output() {
+        let a = GraphGenerator::rmat(6, 300, 5).generate().to_csr();
+        let b = GraphGenerator::rmat(6, 280, 9).generate().to_csr();
+        let (c, stats) = gustavson_with_stats(&a, &b);
+        let mut pp = 0u64;
+        symbolic_rows(&a, &b, |i, counts, touched| {
+            let mut cols = touched.to_vec();
+            cols.sort_unstable();
+            assert_eq!(cols, c.row(i).0);
+            pp += touched.iter().map(|&j| counts[j] as u64).sum::<u64>();
+        });
+        assert_eq!(pp, stats.multiplications);
     }
 
     #[test]

@@ -16,15 +16,17 @@
 //! All kernels produce identical numerical results; they differ only in the
 //! order in which partial products are generated, which is what the
 //! accelerator models in `neura-chip` care about.  [`multiply_counting`]
-//! additionally reports the partial-product trace statistics used by the
-//! memory-bloat analysis and the baseline accelerator models.
+//! additionally reports the partial-product trace statistics, and
+//! [`symbolic_rows`] counts the fan-in of every output element without
+//! computing values (the memory-bloat analysis and the NeuraCompiler's
+//! rolling counters).
 
 mod gustavson;
 mod inner;
 mod outer;
 mod tiled;
 
-pub use gustavson::{gustavson, gustavson_with_stats};
+pub use gustavson::{gustavson, gustavson_with_stats, symbolic_rows};
 pub use inner::inner_product;
 pub use outer::{outer_product, outer_product_partial_products};
 pub use tiled::{tiled_gustavson, TiledTask, TiledTrace};
@@ -110,8 +112,9 @@ pub fn multiply(a: &CsrMatrix, b: &CsrMatrix, dataflow: Dataflow) -> crate::Resu
 
 /// Runs a row-wise SpGEMM while counting multiplications/additions.
 ///
-/// This is the canonical source of the partial-product counts used by the
-/// memory-bloat analysis (Table 1) and every analytical baseline model.
+/// This is the numeric reference for the partial-product counts; the
+/// memory-bloat analysis (Table 1) reaches the same counts symbolically
+/// through [`symbolic_rows`].
 pub fn multiply_counting(a: &CsrMatrix, b: &CsrMatrix) -> (CsrMatrix, SpgemmStats) {
     gustavson_with_stats(a, b)
 }

@@ -38,6 +38,37 @@ fn arb_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
     })
 }
 
+/// A `rows × cols` matrix with up to `max_nnz` assembled entries (duplicates
+/// summed), about a quarter of them explicit zeros. Empty rows and columns
+/// are common.
+fn arb_shaped_with_zeros(
+    rows: usize,
+    cols: usize,
+    max_nnz: usize,
+) -> impl Strategy<Value = CsrMatrix> {
+    let entry = (0..rows, 0..cols, -3.0f64..3.0, 0u8..4);
+    proptest::collection::vec(entry, 0..max_nnz).prop_map(move |entries| {
+        let mut coo = CooMatrix::new(rows, cols);
+        for (r, c, v, zero) in entries {
+            coo.push(r, c, if zero == 0 { 0.0 } else { v }).unwrap();
+        }
+        coo.to_csr()
+    })
+}
+
+/// A matrix of arbitrary shape with explicit zeros (see [`arb_shaped_with_zeros`]).
+fn arb_matrix_with_zeros(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
+    (1..max_dim, 1..max_dim)
+        .prop_flat_map(move |(rows, cols)| arb_shaped_with_zeros(rows, cols, max_nnz))
+}
+
+/// A compatible pair `m × k` and `k × n` with explicit zeros.
+fn arb_pair_with_zeros() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    (1usize..24, 1usize..24, 1usize..24).prop_flat_map(|(m, k, n)| {
+        (arb_shaped_with_zeros(m, k, 60), arb_shaped_with_zeros(k, n, 60))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -84,6 +115,32 @@ proptest! {
             report.intermediate_partial_products,
             bloat::partial_product_count(&a, &b)
         );
+    }
+
+    /// The symbolic bloat analysis reports exactly the counts of the numeric
+    /// row-wise product, explicit zeros included.
+    #[test]
+    fn bloat_analysis_matches_numeric_counting((a, b) in arb_pair_with_zeros()) {
+        let (_, stats) = spgemm::multiply_counting(&a, &b);
+        let report = bloat::analyze(&a, &b);
+        prop_assert_eq!(report.intermediate_partial_products, stats.multiplications);
+        prop_assert_eq!(report.output_nnz, stats.output_nnz);
+        prop_assert_eq!(report.bloat_percent.to_bits(), stats.bloat_percent().to_bits());
+    }
+
+    /// The counting-sort conversions (`to_csc`, `CscMatrix::to_csr`,
+    /// `transpose`) equal the COO path exactly, explicit zeros and empty
+    /// rows and columns included.
+    #[test]
+    fn compressed_conversions_match_the_coo_path(m in arb_matrix_with_zeros(24, 96)) {
+        let csc = m.to_csc();
+        prop_assert_eq!(&csc, &m.to_coo().to_csc());
+        prop_assert_eq!(csc.to_csr(), csc.to_coo().to_csr());
+        let mut transposed = CooMatrix::new(m.cols(), m.rows());
+        for (r, c, v) in m.iter() {
+            transposed.push(c, r, v).unwrap();
+        }
+        prop_assert_eq!(m.transpose(), transposed.to_csr());
     }
 
     /// SpMM against a random dense matrix matches the dense-dense reference.
