@@ -6,7 +6,10 @@
 //! time-sorted request list using the workspace's seeded `StdRng`, so the
 //! same spec always produces the identical stream — the property every
 //! serving A/B comparison (and the artifact byte-identity contract) rests
-//! on. Two processes are modelled:
+//! on. A request's position in its stream is its identity: [`Request`]
+//! carries no id field, and the simulation numbers requests by position
+//! (so any sorted slice of requests, a filtered subset included, replays
+//! as-is). Two processes are modelled:
 //!
 //! - **Poisson** — memoryless open-loop traffic: exponential inter-arrival
 //!   times at the target rate.
@@ -76,11 +79,10 @@ impl ArrivalProcess {
     }
 }
 
-/// One inference request of a stream.
+/// One inference request of a stream. It has no id: its position in the
+/// stream (0-based, arrival order) identifies it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
-    /// Position in the stream (0-based, arrival order).
-    pub id: usize,
     /// Arrival time in seconds from the start of the scenario.
     pub arrival_s: f64,
     /// The request's workload class.
@@ -90,6 +92,9 @@ pub struct Request {
     /// workloads.
     pub tenant: usize,
 }
+
+// Streams hold hundreds of thousands of requests; keep each at 32 bytes.
+const _: () = assert!(std::mem::size_of::<Request>() == 32);
 
 /// Declarative description of one request stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,13 +126,29 @@ impl StreamSpec {
     }
 
     /// Expands the spec into a concrete stream: requests sorted by arrival
-    /// time with ids in arrival order.
+    /// time, all of tenant 0.
     ///
     /// # Panics
     ///
     /// Panics when the rate or duration is not finite and positive, the mix
     /// is empty, or no shrink factor is given.
     pub fn generate(&self) -> Vec<Request> {
+        let mut requests = Vec::new();
+        self.for_each_arrival(|arrival_s, class| {
+            requests.push(Request { arrival_s, class, tenant: 0 });
+        });
+        requests
+    }
+
+    /// The generator behind [`Self::generate`]: calls `emit` with the
+    /// arrival time and class of every request, in arrival order, without
+    /// materialising the stream (the rate-shaping layer thins candidates
+    /// as they are drawn).
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::generate`].
+    pub(crate) fn for_each_arrival(&self, mut emit: impl FnMut(f64, RequestClass)) {
         assert!(self.rps.is_finite() && self.rps > 0.0, "arrival rate must be positive");
         assert!(
             self.duration_s.is_finite() && self.duration_s > 0.0,
@@ -143,7 +164,6 @@ impl StreamSpec {
         };
 
         let burst_period = self.burst_period_s();
-        let mut requests = Vec::new();
         let mut t = 0.0f64;
         loop {
             // Exponential inter-arrival via inverse CDF; u ∈ [0, 1) keeps
@@ -158,14 +178,8 @@ impl StreamSpec {
             }
             let dataset = rng.gen_range(0..self.mix_size);
             let shrink = self.shrinks[rng.gen_range(0..self.shrinks.len())];
-            requests.push(Request {
-                id: requests.len(),
-                arrival_s: t,
-                class: RequestClass { dataset, shrink },
-                tenant: 0,
-            });
+            emit(t, RequestClass { dataset, shrink });
         }
-        requests
     }
 }
 
@@ -329,8 +343,7 @@ mod tests {
             let requests = spec(arrival, 7).generate();
             assert!(!requests.is_empty());
             assert!(requests.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
-            for (i, r) in requests.iter().enumerate() {
-                assert_eq!(r.id, i);
+            for r in &requests {
                 assert!(r.arrival_s < 2.0);
                 assert!(r.class.dataset < 3);
                 assert!([1, 2, 4].contains(&r.class.shrink));

@@ -24,7 +24,7 @@
 //! - **Lanes** partition a closed-loop scenario *itself*: clients and
 //!   shard groups split round-robin into independent sub-scenarios that
 //!   replay concurrently and merge deterministically (arrivals by
-//!   `(time, lane, id)`, shard slots re-laid group-major, per-group
+//!   `(time, lane, position)`, shard slots re-laid group-major, per-group
 //!   counters summed in lane order). A lane count is part of the
 //!   scenario definition — `lanes = 4` is a *different scenario* than
 //!   `lanes = 1`, with identical results for every thread count — and is
@@ -197,10 +197,6 @@ impl Ord for TimeKey {
 /// scan selected due clients in.
 type IssueQueue = BinaryHeap<Reverse<(TimeKey, usize)>>;
 
-fn issue_queue(first: Vec<(f64, usize)>) -> IssueQueue {
-    first.into_iter().map(|(at, client)| Reverse((TimeKey(at), client))).collect()
-}
-
 /// The central backlog, shaped by the policy.
 #[derive(Debug, Clone)]
 enum Backlog {
@@ -327,16 +323,48 @@ fn class_ready(
     queue.len() >= max_batch || head_arrival(queue, requests) + timeout_s <= now
 }
 
-/// Where the next request comes from: a cursor into a pre-materialised
-/// open-loop stream (the stream itself lives in [`Ctx`], so seam clones
-/// stay cheap) or a closed-loop client population driven by completions.
+/// Where the next request comes from, and which requests have arrived so
+/// far. A request's id is its position among the arrived requests.
+///
+/// - `Open`: a cursor into a pre-materialised open-loop stream. The stream
+///   lives in [`Ctx`] and its arrived prefix `stream[..cursor]` is viewed
+///   in place, never copied, so seam clones stay cheap.
+/// - `Closed`: a client population driven by completions. Its requests
+///   only exist once issued, so they are generated into `arrived`, with
+///   the issuing client of each in `owners`.
 #[derive(Debug, Clone)]
 enum SourceState {
-    Open { cursor: usize },
-    Closed { clients: ClosedLoopClients, pending: IssueQueue, owners: Vec<usize> },
+    Open {
+        cursor: usize,
+    },
+    Closed {
+        clients: ClosedLoopClients,
+        pending: IssueQueue,
+        arrived: Vec<Request>,
+        owners: Vec<usize>,
+    },
 }
 
 impl SourceState {
+    /// A closed loop whose clients first issue at `first`'s
+    /// `(time, client)` pairs.
+    fn closed(clients: ClosedLoopClients, first: Vec<(f64, usize)>) -> Self {
+        SourceState::Closed {
+            clients,
+            pending: first.into_iter().map(|(at, client)| Reverse((TimeKey(at), client))).collect(),
+            arrived: Vec::new(),
+            owners: Vec::new(),
+        }
+    }
+
+    /// Every request that has arrived so far, indexed by id.
+    fn arrived<'a>(&'a self, stream: &'a [Request]) -> &'a [Request] {
+        match self {
+            SourceState::Open { cursor } => &stream[..*cursor],
+            SourceState::Closed { arrived, .. } => arrived,
+        }
+    }
+
     /// The next arrival time, if any request is still due.
     fn next_time(&self, stream: &[Request]) -> Option<f64> {
         match self {
@@ -345,20 +373,15 @@ impl SourceState {
         }
     }
 
-    /// Moves every request due at or before `now` into `arrived`.
-    fn pop_due(&mut self, now: f64, stream: &[Request], arrived: &mut Vec<Request>) {
+    /// Marks every request due at or before `now` as arrived.
+    fn pop_due(&mut self, now: f64, stream: &[Request]) {
         match self {
             SourceState::Open { cursor } => {
-                while let Some(request) = stream.get(*cursor) {
-                    if request.arrival_s > now {
-                        break;
-                    }
-                    debug_assert_eq!(request.id, arrived.len(), "open streams arrive in id order");
-                    arrived.push(*request);
+                while stream.get(*cursor).is_some_and(|r| r.arrival_s <= now) {
                     *cursor += 1;
                 }
             }
-            SourceState::Closed { clients, pending, owners } => {
+            SourceState::Closed { clients, pending, arrived, owners } => {
                 // The heap pops due clients in (time, client) order, so
                 // ids are deterministic even when issue times tie.
                 while let Some(&Reverse((t, client))) = pending.peek() {
@@ -367,7 +390,7 @@ impl SourceState {
                     }
                     pending.pop();
                     let class = clients.draw_class(client);
-                    arrived.push(Request { id: arrived.len(), arrival_s: t.0, class, tenant: 0 });
+                    arrived.push(Request { arrival_s: t.0, class, tenant: 0 });
                     owners.push(client);
                 }
             }
@@ -377,7 +400,7 @@ impl SourceState {
     /// Tells the source a request completed (closed loops schedule the
     /// owning client's next request; open streams don't care).
     fn on_complete(&mut self, id: usize, finish: f64) {
-        if let SourceState::Closed { clients, pending, owners } = self {
+        if let SourceState::Closed { clients, pending, owners, .. } = self {
             let client = owners[id];
             if let Some(at) = clients.next_issue_at(client, finish) {
                 pending.push(Reverse((TimeKey(at), client)));
@@ -443,7 +466,9 @@ struct Ctx<'a> {
 /// the event loop at a pause point. Cloning an `EngineState` at an epoch
 /// boundary is the seam — queue handoff, in-flight carry-over, fault
 /// plan, pending provisioning ops, autoscaler clock, and the closed-loop
-/// RNG streams all travel with it.
+/// RNG streams all travel with it. The arrived requests live in
+/// [`SourceState`]: an open stream's are a cursor into [`Ctx::stream`], so
+/// a seam clone copies no part of the stream.
 #[derive(Debug, Clone)]
 struct EngineState {
     now: f64,
@@ -451,7 +476,6 @@ struct EngineState {
     plan: Option<FaultPlan>,
     backlog: Backlog,
     source: SourceState,
-    arrived: Vec<Request>,
     in_flight: Vec<Option<Vec<usize>>>,
     gates: Vec<Option<TenantGate>>,
     tenant_offered: Vec<u64>,
@@ -537,7 +561,6 @@ fn initial_state(
         fleet,
         plan,
         source,
-        arrived: Vec::new(),
         in_flight,
         gates,
         tenant_offered: vec![0; tenant_count],
@@ -596,10 +619,11 @@ fn run_until(
             if idle.is_empty() {
                 break;
             }
-            let Some(batch) = st.backlog.take_ready(st.now, policy, &st.arrived, costs) else {
+            let arrived = st.source.arrived(ctx.stream);
+            let Some(batch) = st.backlog.take_ready(st.now, policy, arrived, costs) else {
                 break;
             };
-            let class = st.arrived[batch[0]].class;
+            let class = arrived[batch[0]].class;
             let Some(shard) =
                 dispatcher.choose(&st.fleet, &idle, class, batch.len(), st.now, costs)
             else {
@@ -647,7 +671,9 @@ fn run_until(
                 t_next = t_next.min(st.fleet.busy_until(slot));
             }
         }
-        if let Some(deadline) = st.backlog.next_deadline(st.now, policy, &st.arrived) {
+        if let Some(deadline) =
+            st.backlog.next_deadline(st.now, policy, st.source.arrived(ctx.stream))
+        {
             t_next = t_next.min(deadline);
         }
         for op in &st.pending_ops {
@@ -686,7 +712,8 @@ fn run_until(
                 let batch = entry.take().expect("slot checked above");
                 let finish = st.fleet.busy_until(slot);
                 for &id in &batch {
-                    let latency = finish - st.arrived[id].arrival_s;
+                    let request = st.source.arrived(ctx.stream)[id];
+                    let latency = finish - request.arrival_s;
                     st.source.on_complete(id, finish);
                     if let Some(o) = out.as_deref_mut() {
                         o.latencies.push((id, latency));
@@ -694,7 +721,7 @@ fn run_until(
                             events.push(TraceEvent::Complete {
                                 at_s: finish,
                                 id,
-                                tenant: st.arrived[id].tenant,
+                                tenant: request.tenant,
                                 latency_s: latency,
                             });
                         }
@@ -711,10 +738,10 @@ fn run_until(
         //    completions, so a zero-think closed-loop re-issue lands in
         //    the same event). An arrival sheds when the backlog is at its
         //    bound, or when its tenant's token bucket is empty.
-        let first_new = st.arrived.len();
-        st.source.pop_due(st.now, ctx.stream, &mut st.arrived);
-        for req in &st.arrived[first_new..] {
-            let (id, class, tenant) = (req.id, req.class, req.tenant);
+        let first_new = st.source.arrived(ctx.stream).len();
+        st.source.pop_due(st.now, ctx.stream);
+        for id in first_new..st.source.arrived(ctx.stream).len() {
+            let Request { class, tenant, .. } = st.source.arrived(ctx.stream)[id];
             if let Some(count) = st.tenant_offered.get_mut(tenant) {
                 *count += 1;
             }
@@ -790,7 +817,7 @@ fn run_until(
                     0.0
                 };
                 if let Some(batch) = batch {
-                    let class = st.arrived[batch[0]].class;
+                    let class = st.source.arrived(ctx.stream)[batch[0]].class;
                     st.backlog.push_front(&batch, class);
                 }
                 st.fleet.crash(victim, st.now, redispatched as u64);
@@ -904,13 +931,10 @@ fn run_until(
 
 /// Builds the final [`ServeOutcome`] (and trace) from a terminal state
 /// and the merged fragment outputs.
-fn assemble(
-    cfg: &ServeConfig<'_>,
-    tenants: Option<&TenantMix>,
-    st: EngineState,
-    out: FragmentOut,
-) -> (ServeOutcome, Option<Trace>) {
-    let mut latencies = vec![f64::NAN; st.arrived.len()];
+fn assemble(ctx: &Ctx<'_>, st: EngineState, out: FragmentOut) -> (ServeOutcome, Option<Trace>) {
+    let (cfg, tenants) = (ctx.cfg, ctx.tenants);
+    let arrived = st.source.arrived(ctx.stream);
+    let mut latencies = vec![f64::NAN; arrived.len()];
     for &(id, latency) in &out.latencies {
         debug_assert!(latencies[id].is_nan(), "request {id} resolved twice");
         latencies[id] = latency;
@@ -947,8 +971,8 @@ fn assemble(
     });
     let outcome = ServeOutcome {
         latencies_s: latencies,
-        arrivals_s: st.arrived.iter().map(|r| r.arrival_s).collect(),
-        tenants: st.arrived.iter().map(|r| r.tenant).collect(),
+        arrivals_s: arrived.iter().map(|r| r.arrival_s).collect(),
+        tenants: arrived.iter().map(|r| r.tenant).collect(),
         shed: out.shed,
         shed_queue: st.shed_queue,
         shed_limit: st.shed_limit,
@@ -983,7 +1007,7 @@ fn run_fragments(
         let mut st = initial;
         let mut out = FragmentOut::new(tracing);
         run_until(ctx, &mut st, f64::INFINITY, Some(&mut out));
-        return assemble(ctx.cfg, ctx.tenants, st, out);
+        return assemble(ctx, st, out);
     }
 
     // Pass 1 (serial, output-free): the seam state at each boundary.
@@ -1024,7 +1048,7 @@ fn run_fragments(
         }
         terminal = Some(state);
     }
-    assemble(ctx.cfg, ctx.tenants, terminal.expect("at least one fragment"), merged)
+    assemble(ctx, terminal.expect("at least one fragment"), merged)
 }
 
 /// How many lanes a closed-loop scenario actually decomposes into under
@@ -1065,10 +1089,8 @@ fn run_lanes(
         let mut lane_cfg = *cfg;
         lane_cfg.groups = &lane_fleets[lane];
         let (clients, first) = spec.lane_clients(lane, lanes);
-        let source =
-            SourceState::Closed { clients, pending: issue_queue(first), owners: Vec::new() };
         let ctx = Ctx { cfg: &lane_cfg, tenants: None, stream: &[], admission: false };
-        let mut st = initial_state(&lane_cfg, None, source);
+        let mut st = initial_state(&lane_cfg, None, SourceState::closed(clients, first));
         let mut out = FragmentOut::new(tracing);
         run_until(&ctx, &mut st, f64::INFINITY, Some(&mut out));
         (st, out)
@@ -1109,9 +1131,13 @@ fn merge_lanes(
         .collect();
 
     // Global ids: every lane's arrivals merged by (time, lane, local id).
+    // Lanes are closed loops, so their arrivals live in the source and the
+    // open stream is empty.
+    let lane_arrived: Vec<&[Request]> =
+        results.iter().map(|(st, _)| st.source.arrived(&[])).collect();
     let mut order: Vec<(f64, usize, usize)> = Vec::new();
-    for (lane, (st, _)) in results.iter().enumerate() {
-        order.extend(st.arrived.iter().map(|r| (r.arrival_s, lane, r.id)));
+    for (lane, arrived) in lane_arrived.iter().enumerate() {
+        order.extend(arrived.iter().enumerate().map(|(local, r)| (r.arrival_s, lane, local)));
     }
     order.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
@@ -1120,7 +1146,7 @@ fn merge_lanes(
             .then(a.2.cmp(&b.2))
     });
     let mut id_maps: Vec<Vec<usize>> =
-        results.iter().map(|(st, _)| vec![usize::MAX; st.arrived.len()]).collect();
+        lane_arrived.iter().map(|arrived| vec![usize::MAX; arrived.len()]).collect();
     let mut arrivals_s = Vec::with_capacity(order.len());
     for (global, &(at, lane, local)) in order.iter().enumerate() {
         id_maps[lane][local] = global;
@@ -1315,10 +1341,8 @@ fn run_workload(
                 return run_lanes(spec, cfg, lanes, plan, tracing);
             }
             let (clients, first) = spec.clients();
-            let source =
-                SourceState::Closed { clients, pending: issue_queue(first), owners: Vec::new() };
             let ctx = Ctx { cfg, tenants: cfg.tenants, stream: &[], admission: false };
-            let initial = initial_state(cfg, cfg.tenants, source);
+            let initial = initial_state(cfg, cfg.tenants, SourceState::closed(clients, first));
             run_fragments(&ctx, initial, spec.duration_s, plan, tracing)
         }
     }

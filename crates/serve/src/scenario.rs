@@ -259,10 +259,11 @@ impl ShapedStream {
 
     /// Expands the spec into a concrete stream: the base generator runs at
     /// the shapes' combined peak rate, each candidate survives with
-    /// probability `factor(t) / peak`, survivors are re-numbered in
-    /// arrival order and assigned tenants by weight. Thinning and tenant
-    /// draws come from RNG streams derived from the base seed, so the
-    /// result is a pure function of the spec.
+    /// probability `factor(t) / peak`, and survivors are assigned tenants
+    /// by weight. Candidates are thinned as they are drawn, so the
+    /// peak-rate stream is never materialised. Thinning and tenant draws
+    /// come from RNG streams derived from the base seed, so the result is
+    /// a pure function of the spec.
     ///
     /// # Panics
     ///
@@ -270,30 +271,20 @@ impl ShapedStream {
     /// checks.
     pub fn generate(&self) -> Vec<Request> {
         let peak: f64 = self.shapes.iter().map(RateShape::peak).product();
-        let raw = StreamSpec { rps: self.base.rps * peak, ..self.base.clone() }.generate();
+        let candidates = StreamSpec { rps: self.base.rps * peak, ..self.base.clone() };
         let mut thin = StdRng::seed_from_u64(derive_seed(self.base.seed, "shape"));
         let mut tenant_rng = StdRng::seed_from_u64(derive_seed(self.base.seed, "tenant"));
         let mut requests = Vec::new();
-        for request in raw {
-            let factor: f64 = self
-                .shapes
-                .iter()
-                .map(|s| s.factor(request.arrival_s, self.base.duration_s))
-                .product();
+        candidates.for_each_arrival(|arrival_s, class| {
+            let factor: f64 =
+                self.shapes.iter().map(|s| s.factor(arrival_s, self.base.duration_s)).product();
             // Draw unconditionally so the survivor set of a request never
             // depends on how earlier draws were used.
-            let keep = thin.gen::<f64>() < factor / peak;
-            if !keep {
-                continue;
+            if thin.gen::<f64>() < factor / peak {
+                let tenant = self.tenants.as_ref().map_or(0, |mix| mix.draw(&mut tenant_rng));
+                requests.push(Request { arrival_s, class, tenant });
             }
-            let tenant = self.tenants.as_ref().map_or(0, |mix| mix.draw(&mut tenant_rng));
-            requests.push(Request {
-                id: requests.len(),
-                arrival_s: request.arrival_s,
-                class: request.class,
-                tenant,
-            });
-        }
+        });
         requests
     }
 
@@ -518,8 +509,7 @@ mod tests {
         assert!(!stream.is_empty());
         assert_eq!(stream, shaped.generate(), "same spec, same stream");
         assert!(stream.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
-        for (i, request) in stream.iter().enumerate() {
-            assert_eq!(request.id, i);
+        for request in &stream {
             assert_eq!(request.tenant, 0, "no mix, implicit tenant 0");
         }
     }

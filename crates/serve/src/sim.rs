@@ -292,27 +292,34 @@ impl ServeOutcome {
     /// The largest number of *served* requests simultaneously in flight
     /// (arrived but not yet completed; shed requests never occupy the
     /// system) — the quantity a closed loop bounds by its client count.
+    /// Completions at the same instant as an arrival count first (a
+    /// closed-loop client's next request can only follow its response).
+    ///
+    /// Relies on [`Self::arrivals_s`] being non-decreasing, which every
+    /// engine replay guarantees: ids are assigned in arrival order.
     pub fn max_in_flight(&self) -> usize {
-        // +1 at each arrival, −1 at each completion; completions at the
-        // same instant as an arrival are processed first (a closed-loop
-        // client's next request can only follow its response).
-        let mut events: Vec<(f64, i64)> = Vec::with_capacity(2 * self.latencies_s.len());
-        for (&arrival, &latency) in self.arrivals_s.iter().zip(&self.latencies_s) {
-            if latency < 0.0 {
-                continue;
+        debug_assert!(
+            self.arrivals_s.windows(2).all(|w| w[0] <= w[1]),
+            "arrivals are id-ordered in time"
+        );
+        let served = || {
+            self.arrivals_s.iter().zip(&self.latencies_s).filter(|&(_, &latency)| latency >= 0.0)
+        };
+        // Only the completions need sorting; the arrivals merge against
+        // them in order, retiring every completion at or before each one.
+        let mut done: Vec<f64> = served().map(|(&arrival, &latency)| arrival + latency).collect();
+        done.sort_by(|a, b| a.partial_cmp(b).expect("completion times are finite"));
+        let (mut retired, mut peak) = (0, 0);
+        for (admitted, (&arrival, _)) in served().enumerate() {
+            while done.get(retired).is_some_and(|&t| t <= arrival) {
+                retired += 1;
             }
-            events.push((arrival, 1));
-            events.push((arrival + latency, -1));
+            // Saturating: a zero-latency request that ties with this
+            // arrival but comes later in id order retires before it is
+            // admitted.
+            peak = peak.max((admitted + 1).saturating_sub(retired));
         }
-        events.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("event times are finite").then(a.1.cmp(&b.1))
-        });
-        let (mut in_flight, mut peak) = (0i64, 0i64);
-        for (_, delta) in events {
-            in_flight += delta;
-            peak = peak.max(in_flight);
-        }
-        peak as usize
+        peak
     }
 
     /// The artifact records describing this outcome: one scenario summary
@@ -623,8 +630,8 @@ mod tests {
         costs
     }
 
-    fn request(id: usize, arrival_s: f64, dataset: usize) -> Request {
-        Request { id, arrival_s, class: RequestClass { dataset, shrink: 1 }, tenant: 0 }
+    fn request(arrival_s: f64, dataset: usize) -> Request {
+        Request { arrival_s, class: RequestClass { dataset, shrink: 1 }, tenant: 0 }
     }
 
     fn sim(stream: &[Request], policy: Policy, shards: usize, costs: &CostTable) -> ServeOutcome {
@@ -640,7 +647,7 @@ mod tests {
 
     #[test]
     fn fifo_on_one_shard_serialises_requests() {
-        let stream = [request(0, 0.0, 0), request(1, 0.1, 0)];
+        let stream = [request(0.0, 0), request(0.1, 0)];
         let outcome = sim(&stream, Policy::Fifo, 1, &unit_costs());
         // Request 0: served 0.0–1.0 (latency 1.0); request 1 waits for the
         // shard, served 1.0–2.0 (latency 1.9).
@@ -659,7 +666,7 @@ mod tests {
 
     #[test]
     fn a_second_shard_absorbs_the_queueing_delay() {
-        let stream = [request(0, 0.0, 0), request(1, 0.1, 0)];
+        let stream = [request(0.0, 0), request(0.1, 0)];
         let outcome = sim(&stream, Policy::Fifo, 2, &unit_costs());
         assert!((outcome.latencies_s[0] - 1.0).abs() < 1e-12);
         assert!((outcome.latencies_s[1] - 1.0).abs() < 1e-12, "no wait on the idle shard");
@@ -671,7 +678,7 @@ mod tests {
     fn sjf_reorders_the_backlog_by_work() {
         // Both queued behind the in-flight request; the cheap dataset-1
         // request (0.5 s) jumps ahead of the earlier dataset-0 one.
-        let stream = [request(0, 0.0, 0), request(1, 0.01, 0), request(2, 0.02, 1)];
+        let stream = [request(0.0, 0), request(0.01, 0), request(0.02, 1)];
         let outcome = sim(&stream, Policy::Sjf, 1, &unit_costs());
         assert!((outcome.latencies_s[2] - (1.5 - 0.02)).abs() < 1e-12, "short job served first");
         assert!((outcome.latencies_s[1] - (2.5 - 0.01)).abs() < 1e-12, "long job served last");
@@ -679,7 +686,7 @@ mod tests {
 
     #[test]
     fn batching_groups_same_class_requests_and_amortises_cost() {
-        let stream = [request(0, 0.0, 0), request(1, 0.001, 0)];
+        let stream = [request(0.0, 0), request(0.001, 0)];
         let outcome = sim(&stream, Policy::batch(2, 1.0), 1, &unit_costs());
         // Both arrive before the batch fills at max_batch = 2; the batch of
         // two costs 1.0 * (1 + 0.5) = 1.5 s and dispatches at t = 0.001.
@@ -690,7 +697,7 @@ mod tests {
 
     #[test]
     fn partial_batches_flush_at_the_timeout() {
-        let stream = [request(0, 0.0, 0)];
+        let stream = [request(0.0, 0)];
         let outcome = sim(&stream, Policy::batch(8, 0.25), 1, &unit_costs());
         // The lone request waits out the 0.25 s timeout before dispatching.
         assert_eq!(outcome.batch_sizes, vec![1]);
@@ -699,8 +706,7 @@ mod tests {
 
     #[test]
     fn queue_depth_tracks_the_backlog() {
-        let stream =
-            [request(0, 0.0, 0), request(1, 0.1, 0), request(2, 0.1, 0), request(3, 0.1, 0)];
+        let stream = [request(0.0, 0), request(0.1, 0), request(0.1, 0), request(0.1, 0)];
         let outcome = sim(&stream, Policy::Fifo, 1, &unit_costs());
         assert_eq!(outcome.queue_depth_max, 3, "three requests queue behind the first");
         assert!(outcome.queue_depth_mean > 0.0);
@@ -734,7 +740,7 @@ mod tests {
         let class = RequestClass { dataset: 0, shrink: 1 };
         costs.insert(&t64, class, ClassCost { cycles: 250_000_000, flops: 10 });
         costs.insert(&t4, class, ClassCost { cycles: 1_000_000_000, flops: 10 });
-        let stream = [request(0, 0.0, 0)];
+        let stream = [request(0.0, 0)];
         let outcome =
             simulate_stream(&stream, Policy::Fifo, &groups, DispatchKind::CostAware, None, &costs);
         assert!((outcome.latencies_s[0] - 0.25).abs() < 1e-12, "served on the Tile-64");
@@ -818,7 +824,7 @@ mod tests {
     fn autoscaler_grows_under_backlog_and_respects_the_delay() {
         // 20 requests land at t=0 on one 1 s/request shard; the controller
         // (check every 0.5 s, 1 s provisioning delay) grows the fleet.
-        let stream: Vec<Request> = (0..20).map(|i| request(i, 0.0, 0)).collect();
+        let stream = vec![request(0.0, 0); 20];
         let policy = AutoscalePolicy::new(1, 4)
             .with_check_interval_s(0.5)
             .with_provision_delay_s(1.0)
@@ -858,7 +864,7 @@ mod tests {
         // Eight simultaneous arrivals against a bound of 2: the first two
         // admit, the rest shed with the sentinel latency — and the shed
         // requests never occupy the queue or a shard.
-        let stream: Vec<Request> = (0..8).map(|i| request(i, 0.0, 0)).collect();
+        let stream = vec![request(0.0, 0); 8];
         let costs = unit_costs();
         let groups = tile16_fleet(1);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
@@ -892,7 +898,7 @@ mod tests {
             rate_limit_rps: Some(1.0),
             slo_s: None,
         }]);
-        let stream: Vec<Request> = (0..10).map(|i| request(i, 0.1 * i as f64, 0)).collect();
+        let stream: Vec<Request> = (0..10).map(|i| request(0.1 * i as f64, 0)).collect();
         let costs = unit_costs();
         let groups = tile16_fleet(4);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)
@@ -936,7 +942,7 @@ mod tests {
         // Two 10 s requests occupy both shards from t=0; one crash lands
         // somewhere in [0, 1) and its victim's request re-dispatches on
         // the survivor — every request still completes exactly once.
-        let stream = [request(0, 0.0, 0), request(1, 0.0, 0)];
+        let stream = [request(0.0, 0), request(0.0, 0)];
         let mut costs = unit_costs();
         let fp = costs.register(&ChipConfig::tile_16());
         costs.insert(
@@ -970,7 +976,7 @@ mod tests {
 
     #[test]
     fn failed_provisioning_keeps_the_fleet_small_and_counts() {
-        let stream: Vec<Request> = (0..20).map(|i| request(i, 0.0, 0)).collect();
+        let stream = vec![request(0.0, 0); 20];
         let policy = AutoscalePolicy::new(1, 4)
             .with_check_interval_s(0.5)
             .with_provision_delay_s(1.0)
@@ -990,7 +996,7 @@ mod tests {
 
     #[test]
     fn degraded_groups_serve_slower() {
-        let stream = [request(0, 0.0, 0)];
+        let stream = [request(0.0, 0)];
         let costs = unit_costs();
         let groups = tile16_fleet(1);
         let faults = FaultSpec::new(1, 1.0).with_degraded(0, 2.0);
@@ -1048,7 +1054,7 @@ mod tests {
 
     #[test]
     fn records_carry_tails_groups_shards_and_cost() {
-        let stream = [request(0, 0.0, 0), request(1, 0.1, 1)];
+        let stream = [request(0.0, 0), request(0.1, 1)];
         let outcome = sim(&stream, Policy::Fifo, 2, &unit_costs());
         let params = vec![("policy".to_string(), "fifo".to_string())];
         let records = outcome.records("serve/demo", &params);
@@ -1081,7 +1087,7 @@ mod tests {
             rate_limit_rps: None,
             slo_s: Some(1.5),
         }]);
-        let stream = [request(0, 0.0, 0), request(1, 0.0, 0)];
+        let stream = [request(0.0, 0), request(0.0, 0)];
         let costs = unit_costs();
         let groups = tile16_fleet(1);
         let cfg = ServeConfig::new(Policy::Fifo, &groups, DispatchKind::LeastLoaded, &costs)

@@ -40,8 +40,8 @@ fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
     vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
 }
 
-fn request(id: usize, arrival_s: f64, dataset: usize, shrink: usize) -> Request {
-    Request { id, arrival_s, class: RequestClass { dataset, shrink }, tenant: 0 }
+fn request(arrival_s: f64, dataset: usize, shrink: usize) -> Request {
+    Request { arrival_s, class: RequestClass { dataset, shrink }, tenant: 0 }
 }
 
 /// The hand-built boundary-straddling schedule. With `EPOCH_S = 1/64`:
@@ -64,20 +64,20 @@ fn boundary_schedule() -> Vec<Request> {
     let mut stream = vec![
         // A burst at t = 0 that under-fills the max batch: flush happens
         // on the timeout, exactly at the first epoch boundary.
-        request(0, 0.0, 0, 1),
-        request(1, 0.0, 0, 1),
-        request(2, 0.0, 1, 2),
+        request(0.0, 0, 1),
+        request(0.0, 0, 1),
+        request(0.0, 1, 2),
         // Just before the boundary: queued work straddles the seam.
-        request(3, 3.0 / 256.0, 1, 1),
+        request(3.0 / 256.0, 1, 1),
         // Exactly on the boundary, coinciding with the flush deadline.
-        request(4, 1.0 / 64.0, 0, 2),
+        request(1.0 / 64.0, 0, 2),
         // Just after it.
-        request(5, 5.0 / 256.0, 0, 1),
+        request(5.0 / 256.0, 0, 1),
     ];
     // A sparse tail across several more boundaries keeps the autoscaler
     // scaling both ways and the backlog draining and refilling.
     for k in 0..12usize {
-        stream.push(request(6 + k, 1.0 / 32.0 + k as f64 * 3.0 / 256.0, k % 2, 1 + k % 2));
+        stream.push(request(1.0 / 32.0 + k as f64 * 3.0 / 256.0, k % 2, 1 + k % 2));
     }
     stream
 }
@@ -126,9 +126,9 @@ fn fragments_that_drain_before_their_boundary_stay_identical() {
     // whole fragments drain to idle long before their boundary, and the
     // fragments after the last arrival re-enter an already-drained state
     // (the terminal accrual must be idempotent).
-    let mut stream: Vec<Request> = (0..6).map(|i| request(i, 0.0, i % 2, 1)).collect();
+    let mut stream: Vec<Request> = (0..6).map(|i| request(0.0, i % 2, 1)).collect();
     for i in 0..6usize {
-        stream.push(request(6 + i, 0.75 + i as f64 * 1.0 / 1024.0, i % 2, 2));
+        stream.push(request(0.75 + i as f64 * 1.0 / 1024.0, i % 2, 2));
     }
     let serial = simulate_stream_config(&stream, &cfg);
     for epochs in [2usize, 3, 7, 64, 1024] {
@@ -176,7 +176,7 @@ fn shedding_across_seams_conserves_every_request() {
     for k in 0..8usize {
         let base = k as f64 * 1.0 / 64.0;
         for j in 0..12usize {
-            stream.push(request(stream.len(), base + j as f64 / 8192.0, j % 2, 1));
+            stream.push(request(base + j as f64 / 8192.0, j % 2, 1));
         }
     }
     let serial = simulate_stream_config(&stream, &cfg);

@@ -1,5 +1,6 @@
 //! Property tests of the production-traffic scenario layer: shaped
-//! streams thin deterministically and stay sorted; a queue bound the
+//! streams thin deterministically, stay sorted and equal the two-step
+//! generate-then-thin path; a queue bound the
 //! backlog never reaches changes nothing; shed rate is monotone in
 //! offered load while the bound caps admitted p99 and queue depth at 3x
 //! capacity; token-bucket rate limits bound every tenant's admitted
@@ -7,13 +8,17 @@
 //! all — is byte-identical across runner thread counts.
 
 use neura_chip::config::ChipConfig;
+use neura_lab::spec::derive_seed;
 use neura_serve::scenario::TENANT_BURST_S;
 use neura_serve::{
     simulate_config, simulate_stream, simulate_stream_config, ArrivalProcess, AutoscalePolicy,
-    ClassCost, CostTable, DispatchKind, Policy, RateShape, RequestClass, ScenarioSpec, ServeConfig,
-    ServeOutcome, ShapedStream, ShardGroup, StreamSpec, TenantMix, TenantSpec, Workload,
+    ClassCost, CostTable, DispatchKind, Policy, RateShape, Request, RequestClass, ScenarioSpec,
+    ServeConfig, ServeOutcome, ShapedStream, ShardGroup, StreamSpec, TenantMix, TenantSpec,
+    Workload,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A synthetic cost table covering every class a generated stream can
 /// draw on Tile-16 silicon (same spread as `serve_properties`).
@@ -59,6 +64,28 @@ fn arb_stream() -> impl Strategy<Value = StreamSpec> {
     )
 }
 
+/// The shaped-stream generator as two separate passes: the peak-rate base
+/// stream in full, then a thinning and tenant-assignment loop over it.
+fn two_step_generate(shaped: &ShapedStream) -> Vec<Request> {
+    let peak: f64 = shaped.shapes.iter().map(RateShape::peak).product();
+    let raw = StreamSpec { rps: shaped.base.rps * peak, ..shaped.base.clone() }.generate();
+    let mut thin = StdRng::seed_from_u64(derive_seed(shaped.base.seed, "shape"));
+    let mut tenant_rng = StdRng::seed_from_u64(derive_seed(shaped.base.seed, "tenant"));
+    let mut requests = Vec::new();
+    for request in raw {
+        let factor: f64 = shaped
+            .shapes
+            .iter()
+            .map(|s| s.factor(request.arrival_s, shaped.base.duration_s))
+            .product();
+        if thin.gen::<f64>() < factor / peak {
+            let tenant = shaped.tenants.as_ref().map_or(0, |mix| mix.draw(&mut tenant_rng));
+            requests.push(Request { tenant, ..request });
+        }
+    }
+    requests
+}
+
 fn arb_shapes() -> impl Strategy<Value = Vec<RateShape>> {
     (0usize..4, (1.0f64..6.0, 0.0f64..0.9), (0.0f64..0.8, 0.05f64..0.2, 1.0f64..6.0)).prop_map(
         |(pick, (cycles, depth), (start, width, boost))| {
@@ -87,14 +114,32 @@ proptest! {
         let stream = shaped.generate();
         prop_assert_eq!(&stream, &shaped.generate());
         prop_assert!(stream.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
-        for (i, request) in stream.iter().enumerate() {
-            prop_assert_eq!(request.id, i);
+        for request in &stream {
             prop_assert!(request.arrival_s >= 0.0 && request.arrival_s < base.duration_s);
             prop_assert_eq!(request.tenant, 0);
         }
         let peak: f64 = shapes.iter().map(RateShape::peak).product();
         let raw = StreamSpec { rps: base.rps * peak, ..base }.generate();
         prop_assert!(stream.len() <= raw.len(), "thinning never adds requests");
+    }
+
+    /// Fused generation is the two-step path: thinning candidates as they
+    /// are drawn yields exactly the stream of generating the peak-rate
+    /// base in full and thinning it afterwards, tenants included.
+    #[test]
+    fn fused_generation_matches_the_two_step_path(
+        base in arb_stream(),
+        shapes in arb_shapes(),
+        with_tenants in 0usize..2,
+    ) {
+        let tenants = (with_tenants == 1).then(|| {
+            TenantMix::new(vec![
+                TenantSpec { name: "a".into(), weight: 3.0, rate_limit_rps: None, slo_s: None },
+                TenantSpec { name: "b".into(), weight: 1.0, rate_limit_rps: None, slo_s: None },
+            ])
+        });
+        let shaped = ShapedStream { base, shapes, tenants };
+        prop_assert_eq!(shaped.generate(), two_step_generate(&shaped));
     }
 
     /// A queue bound the backlog never reaches is a no-op: the bounded

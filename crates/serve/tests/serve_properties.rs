@@ -3,13 +3,16 @@
 //! exceed the configured maximum; every request is served exactly once by
 //! every policy and dispatch combination; adding shards at a fixed arrival
 //! rate never worsens tail latency; closed loops never exceed their client
-//! count in flight; and the autoscaler stays within its bounds and only
-//! changes the fleet after the provisioning delay.
+//! count in flight; the in-flight peak matches a full event sort on every
+//! kind of replay; a filtered subset of a stream replays by position; and
+//! the autoscaler stays within its bounds and only changes the fleet after
+//! the provisioning delay.
 
 use neura_chip::config::ChipConfig;
 use neura_serve::{
-    simulate, simulate_stream, ArrivalProcess, AutoscalePolicy, ClassCost, ClosedLoopSpec,
-    CostTable, DispatchKind, Policy, RequestClass, ShardGroup, StreamSpec, Workload,
+    simulate, simulate_config_parallel, simulate_stream, simulate_stream_config, ArrivalProcess,
+    AutoscalePolicy, ClassCost, ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, FaultSpec,
+    Policy, Request, RequestClass, ServeConfig, ServeOutcome, ShardGroup, StreamSpec, Workload,
 };
 use proptest::prelude::*;
 
@@ -51,6 +54,26 @@ fn arb_stream() -> impl Strategy<Value = StreamSpec> {
     )
 }
 
+/// The peak in-flight count by the full event sort: +1 at each served
+/// arrival, −1 at each completion, completions first on a tie.
+fn max_in_flight_by_event_sort(outcome: &ServeOutcome) -> usize {
+    let mut events: Vec<(f64, i64)> = Vec::new();
+    for (&arrival, &latency) in outcome.arrivals_s.iter().zip(&outcome.latencies_s) {
+        if latency < 0.0 {
+            continue;
+        }
+        events.push((arrival, 1));
+        events.push((arrival + latency, -1));
+    }
+    events.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+    let (mut in_flight, mut peak) = (0i64, 0i64);
+    for (_, delta) in events {
+        in_flight += delta;
+        peak = peak.max(in_flight);
+    }
+    peak as usize
+}
+
 fn arb_policy() -> impl Strategy<Value = Policy> {
     (0usize..3, 1usize..=6, 0.0f64..0.02).prop_map(|(kind, max_batch, timeout_s)| match kind {
         0 => Policy::Fifo,
@@ -74,8 +97,7 @@ proptest! {
         // Same spec, same stream.
         prop_assert_eq!(&stream, &spec.generate());
         prop_assert!(stream.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s));
-        for (i, request) in stream.iter().enumerate() {
-            prop_assert_eq!(request.id, i);
+        for request in &stream {
             prop_assert!(request.arrival_s >= 0.0 && request.arrival_s < spec.duration_s);
             prop_assert!(request.class.dataset < spec.mix_size);
             prop_assert!(spec.shrinks.contains(&request.class.shrink));
@@ -202,6 +224,42 @@ proptest! {
         prop_assert_eq!(outcome, again);
     }
 
+    /// The merge-based in-flight peak equals the full event sort on every
+    /// kind of replay: open, shedding at a queue bound, crashing shards,
+    /// and closed loops, undecomposed and split into lanes.
+    #[test]
+    fn max_in_flight_matches_the_event_sort(
+        spec in arb_stream(),
+        kind in 0usize..5,
+        policy in arb_policy(),
+        shards in 2usize..=3,
+        clients in 1usize..=16,
+        think in 0usize..2,
+    ) {
+        let costs = synthetic_costs(spec.mix_size, &spec.shrinks);
+        let fleet = tile16_fleet(shards);
+        let cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs);
+        let faults = FaultSpec::new(spec.seed, spec.duration_s).with_crashes(2);
+        let closed = Workload::Closed(ClosedLoopSpec {
+            clients,
+            // Zero think time re-issues at the completion instant, the tie
+            // the merge must resolve completions-first.
+            think_s: [0.0, 0.002][think],
+            duration_s: 0.25,
+            mix_size: spec.mix_size,
+            shrinks: spec.shrinks.clone(),
+            seed: spec.seed,
+        });
+        let outcome = match kind {
+            0 => simulate_stream_config(&spec.generate(), &cfg),
+            1 => simulate_stream_config(&spec.generate(), &cfg.with_queue_bound(2)),
+            2 => simulate_stream_config(&spec.generate(), &cfg.with_faults(&faults)),
+            3 => simulate_config_parallel(&closed, &cfg, &EnginePlan::serial()),
+            _ => simulate_config_parallel(&closed, &cfg, &EnginePlan::serial().with_lanes(2)),
+        };
+        prop_assert_eq!(outcome.max_in_flight(), max_in_flight_by_event_sort(&outcome));
+    }
+
     /// The autoscaled fleet stays within `[min, max]` shards *per group*
     /// at all times — even with several decisions in flight across a
     /// multi-group fleet — and every size change takes effect exactly one
@@ -256,4 +314,26 @@ proptest! {
         // Elasticity loses no requests.
         prop_assert_eq!(outcome.requests(), stream.len());
     }
+}
+
+/// Requests are identified by their position in the replayed slice, so a
+/// sorted subset of a generated stream replays as a stream of its own.
+#[test]
+fn a_filtered_subset_of_a_stream_replays_by_position() {
+    let spec = StreamSpec {
+        arrival: ArrivalProcess::Poisson,
+        rps: 400.0,
+        duration_s: 0.5,
+        mix_size: 2,
+        shrinks: vec![1, 2],
+        seed: 21,
+    };
+    let subset: Vec<Request> = spec.generate().into_iter().step_by(2).collect();
+    let costs = synthetic_costs(2, &[1, 2]);
+    let fleet = tile16_fleet(2);
+    let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
+    let outcome = simulate_stream_config(&subset, &cfg);
+    assert_eq!(outcome.offered(), subset.len());
+    assert_eq!(outcome.invalid_latencies(), 0);
+    assert_eq!(outcome.requests() + outcome.shed.len(), outcome.offered());
 }

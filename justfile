@@ -180,3 +180,9 @@ trend before after *flags="":
 # target/artifacts/bench_*.json.
 bench:
     NEURA_CRITERION_JSON=target/artifacts cargo bench -p neura_bench
+
+# The repository benchmark: one workload (chip-t64-sparse, chip-t4-bloat,
+# serve-mix or design-sweep) in fresh worker processes for the given
+# seconds, printing medians; trace="1" adds the per-layer metrics.
+perfbench workload="serve-mix" seed="1" seconds="20" trace="0":
+    python3 perfbench/run.py --workload {{workload}} --seed {{seed}} --seconds {{seconds}} --trace {{trace}}
