@@ -1,9 +1,6 @@
-//! Criterion benchmark of the parallel-in-time serving engine: one large
-//! closed-loop scenario replayed serially, as epoch fragments, and as
-//! lane decompositions at increasing lane counts. The serial and epoch
-//! rows measure the same scenario (their outcomes are byte-identical by
-//! the engine's determinism contract), so their ratio is pure engine
-//! overhead; the lane rows measure the decomposed scenario that the
+//! Criterion benchmark of the serving engine: one large closed-loop
+//! scenario replayed serially and as lane decompositions at increasing
+//! lane counts. The lane rows measure the decomposed scenario that the
 //! `serve` binary's `--speedup` demo scales across cores.
 //!
 //! Two open-loop rows cover the path the library scenarios take: a
@@ -54,7 +51,6 @@ fn bench_serve_engine(c: &mut Criterion) {
     group.sample_size(10);
     let plans = [
         ("serial", EnginePlan::serial()),
-        ("epochs8", EnginePlan::serial().with_epochs(8)),
         ("lanes2", EnginePlan::serial().with_lanes(2)),
         ("lanes4", EnginePlan::serial().with_lanes(4)),
         ("lanes8", EnginePlan::serial().with_lanes(8)),

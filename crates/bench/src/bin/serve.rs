@@ -48,15 +48,10 @@
 //!   simulations (cycle cost model only) and emit one
 //!   `neura_lab.profile/v1` profile per (chip fingerprint, request class)
 //!   beside the run artifact (default `target/artifacts/serve-profile.json`)
-//! - `--epochs N` / `--epoch-ms X` — run every scenario replay through the
-//!   parallel-in-time engine (`neura_serve::engine`): the timeline splits
-//!   into N equal epochs (or epochs of X simulated milliseconds) whose
-//!   fragments replay concurrently and merge at the boundaries; the merged
-//!   artifact is byte-identical to the serial replay
 //! - `--lanes L` — split eligible closed-loop scenarios into L independent
 //!   client/shard lanes that replay concurrently (a *scenario parameter*:
 //!   results are thread-count invariant at a fixed lane count)
-//! - `--no-meta` — suppress the wall-clock/engine meta fields in the
+//! - `--no-meta` — suppress the wall-clock/lane meta fields in the
 //!   artifact, so byte-comparison across thread counts stays exact
 //! - `--speedup` — after the sweep, replay one large closed-loop lane
 //!   scenario twice (single-threaded, then on the full pool), assert the
@@ -122,7 +117,7 @@ fn usage() -> String {
      \x20            [--duration S] [--dataset NAME]... [--max-batch N] [--batch-timeout-ms X]\n\
      \x20            [--scenario NAME]... [--queue-bound N] [--tenant SPEC]... [--fault SPEC]\n\
      \x20            [--trace [PATH]] [--profile [PATH]] [--window-ms X] [--cost-model M]\n\
-     \x20            [--epochs N] [--epoch-ms X] [--lanes L] [--no-meta] [--speedup]\n\
+     \x20            [--lanes L] [--no-meta] [--speedup]\n\
      \n\
      --json [PATH]         write a machine-readable artifact (default: target/artifacts/serve.json)\n\
      --arrival A           poisson | bursty (repeatable; default: poisson)\n\
@@ -160,12 +155,9 @@ fn usage() -> String {
      \x20                    (default: cycle = the cycle-accurate oracle; analytic = the\n\
      \x20                    closed-form neura_chip::analytic estimate, no simulations;\n\
      \x20                    hybrid = analytic rescaled through one cycle anchor per silicon)\n\
-     --epochs N            replay each scenario as N parallel-in-time epoch fragments\n\
-     \x20                    (merged results are byte-identical to the serial replay)\n\
-     --epoch-ms X          epoch width in simulated milliseconds (alternative to --epochs)\n\
      --lanes L             split eligible closed-loop scenarios into L parallel\n\
      \x20                    client/shard lanes (a scenario parameter, not a tuning knob)\n\
-     --no-meta             omit wall-clock/engine meta fields from the artifact (exact\n\
+     --no-meta             omit wall-clock/lane meta fields from the artifact (exact\n\
      \x20                    byte-comparison across thread counts)\n\
      --speedup             replay one large closed-loop lane scenario single-threaded and\n\
      \x20                    on the full pool, assert identical outcomes, report speedup\n\
@@ -204,8 +196,6 @@ struct Args {
     profile_path: Option<String>,
     window_ms: Option<f64>,
     cost_model: CostModel,
-    epochs: Option<usize>,
-    epoch_ms: Option<f64>,
     lanes: Option<usize>,
     no_meta: bool,
     speedup: bool,
@@ -240,8 +230,6 @@ fn parse_args() -> Args {
         profile_path: None,
         window_ms: None,
         cost_model: CostModel::default(),
-        epochs: None,
-        epoch_ms: None,
         lanes: None,
         no_meta: false,
         speedup: false,
@@ -430,20 +418,6 @@ fn parse_args() -> Args {
                 let raw = value("--cost-model");
                 parsed.cost_model = CostModel::parse(&raw)
                     .unwrap_or_else(|| bad_usage(&format!("unknown cost model {raw:?}")));
-            }
-            "--epochs" => {
-                let raw = value("--epochs");
-                parsed.epochs = Some(match raw.parse::<usize>() {
-                    Ok(n) if n >= 1 => n,
-                    _ => bad_usage(&format!("--epochs {raw:?} is not a positive integer")),
-                });
-            }
-            "--epoch-ms" => {
-                let raw = value("--epoch-ms");
-                parsed.epoch_ms = Some(match raw.parse::<f64>() {
-                    Ok(w) if w.is_finite() && w > 0.0 => w,
-                    _ => bad_usage(&format!("--epoch-ms {raw:?} is not a positive width")),
-                });
             }
             "--lanes" => {
                 let raw = value("--lanes");
@@ -819,16 +793,9 @@ fn main() {
     let mix_len = args.mix.len();
     let window_s = args.window_ms.map(|ms| ms / 1e3).unwrap_or(duration_s / 50.0);
     let cli_tenants = (!args.tenants.is_empty()).then(|| TenantMix::new(args.tenants.clone()));
-    // The engine plan every replay runs under: serial unless --epochs /
-    // --epoch-ms / --lanes asked for parallel-in-time fragments. The merged
-    // results are byte-identical to the serial replay either way.
+    // The engine plan every replay runs under: serial unless --lanes
+    // splits the eligible closed-loop arms into parallel lanes.
     let mut plan = EnginePlan::serial();
-    if let Some(n) = args.epochs {
-        plan = plan.with_epochs(n);
-    }
-    if let Some(ms) = args.epoch_ms {
-        plan = plan.with_epoch_s(ms / 1e3);
-    }
     if let Some(l) = args.lanes {
         plan = plan.with_lanes(l);
     }
@@ -869,12 +836,8 @@ fn main() {
     // CI can byte-compare artifacts across thread counts.
     if !args.no_meta {
         session.set_meta("sim_wall_s", sim_wall_s);
-        session.set_meta("epochs", plan.epochs as f64);
         session.set_meta("lanes", plan.lanes as f64);
         session.set_meta("threads", runner.threads() as f64);
-        if let Some(ms) = args.epoch_ms {
-            session.set_meta("epoch_ms", ms);
-        }
     }
 
     let mut timeline_artifact =

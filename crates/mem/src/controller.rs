@@ -7,7 +7,7 @@
 use crate::channel::Channel;
 use crate::request::{MemoryRequest, MemoryResponse, RequestId, RequestKind};
 use crate::HbmTiming;
-use neura_sim::{Component, Cycle};
+use neura_sim::Cycle;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -70,7 +70,6 @@ struct InFlight {
 #[derive(Debug)]
 pub struct MemoryController {
     tile_id: usize,
-    name: String,
     channel: Channel,
     queue_capacity: usize,
     read_queue: VecDeque<PendingRequest>,
@@ -87,7 +86,6 @@ impl MemoryController {
     pub fn new(tile_id: usize, timing: HbmTiming, queue_capacity: usize) -> Self {
         MemoryController {
             tile_id,
-            name: format!("mem-controller-{tile_id}"),
             channel: Channel::new(timing),
             queue_capacity: queue_capacity.max(1),
             read_queue: VecDeque::new(),
@@ -207,23 +205,6 @@ impl MemoryController {
     }
 }
 
-impl Component for MemoryController {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, cycle: Cycle) {
-        // When driven as a bare component the completions are discarded;
-        // the accelerator model drives `tick(now, &mut Vec)` directly instead.
-        let mut sink = Vec::new();
-        MemoryController::tick(self, cycle, &mut sink);
-    }
-
-    fn is_idle(&self) -> bool {
-        self.pending() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +276,7 @@ mod tests {
         done_ids.sort();
         ids.sort();
         assert_eq!(done_ids, ids);
-        assert!(ctrl.is_idle());
+        assert_eq!(ctrl.pending(), 0);
     }
 
     #[test]
@@ -310,12 +291,14 @@ mod tests {
     }
 
     #[test]
-    fn component_impl_reports_idle_correctly() {
+    fn pending_reports_idle_correctly() {
         let mut ctrl = MemoryController::new(3, HbmTiming::hbm2(), 8);
-        assert!(Component::is_idle(&ctrl));
+        assert_eq!(ctrl.pending(), 0);
         ctrl.submit(MemoryRequest::read(0, 64), Cycle(0)).unwrap();
-        assert!(!Component::is_idle(&ctrl));
-        assert_eq!(Component::name(&ctrl), "mem-controller-3");
+        assert_eq!(ctrl.pending(), 1);
+        assert_eq!(drive(&mut ctrl, 500).len(), 1);
+        assert_eq!(ctrl.pending(), 0);
+        assert_eq!(ctrl.tile_id(), 3);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::packet::Packet;
 use crate::router::Router;
 use crate::topology::TorusTopology;
-use neura_sim::{Component, Cycle, Histogram};
+use neura_sim::{Cycle, Histogram};
 use serde::{Deserialize, Serialize};
 
 /// Aggregate network statistics.
@@ -52,7 +52,6 @@ pub struct TorusNetwork {
     stats: NetworkStats,
     latency_histogram: Histogram,
     hop_histogram: Histogram,
-    name: String,
     /// Packets delivered to their destination, awaiting pickup by the
     /// attached component: `(destination node, packet)`.
     delivered_store: Vec<(usize, Packet)>,
@@ -69,7 +68,6 @@ impl TorusNetwork {
             stats: NetworkStats::default(),
             latency_histogram: Histogram::new(4, 64),
             hop_histogram: Histogram::new(1, 64),
-            name: format!("torus-{}x{}", topology.width(), topology.height()),
             delivered_store: Vec::new(),
         }
     }
@@ -178,20 +176,6 @@ impl TorusNetwork {
     /// Per-router congestion (blocked cycles), indexed by node id.
     pub fn congestion_map(&self) -> Vec<u64> {
         self.routers.iter().map(|r| r.stats().blocked_cycles).collect()
-    }
-}
-
-impl Component for TorusNetwork {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick(&mut self, cycle: Cycle) {
-        TorusNetwork::tick(self, cycle);
-    }
-
-    fn is_idle(&self) -> bool {
-        self.in_flight() == 0
     }
 }
 

@@ -1,37 +1,23 @@
-//! The parallel-in-time serving engine behind [`sim`](crate::sim).
+//! The serving event loop behind [`sim`](crate::sim).
 //!
-//! The event loop that used to live inline in `sim::run` is factored here
-//! into a resumable fragment runner: [`run_until`] advances an
-//! [`EngineState`] up to (but excluding) a time limit and can be called
-//! again to continue — the seam between two calls carries the backlog,
-//! the in-flight batches, the fault plan, the pending provisioning ops
-//! and the closed-loop client RNGs, so splitting a replay at any set of
-//! boundaries reproduces the serial event sequence exactly.
+//! [`run`] replays one scenario from `t = 0` until no event remains,
+//! recording every resolved latency, batch completion, crash, scale
+//! event and (when tracing) lifecycle event into a [`ReplayLog`], which
+//! [`assemble`] turns into the [`ServeOutcome`].
 //!
-//! On top of the fragment runner, an [`EnginePlan`] chooses how a
-//! scenario parallelises:
+//! An [`EnginePlan`] can additionally split a closed-loop scenario into
+//! **lanes**: clients and shard groups split round-robin into independent
+//! sub-scenarios that replay concurrently on the `neura_lab` work-stealing
+//! runner and merge deterministically (arrivals by `(time, lane,
+//! position)`, shard slots re-laid group-major, per-group counters summed
+//! in lane order). A lane count is part of the scenario definition —
+//! `lanes = 4` is a *different scenario* than `lanes = 1`, with identical
+//! results for every thread count — and is what buys near-linear speedup
+//! on long closed-loop replays. Every other workload, and every closed
+//! loop a lane split would couple, replays in one serial pass.
 //!
-//! - **Epochs** partition the simulated timeline at fixed boundaries.
-//!   A first (cheap, output-free) pass computes the seam state at every
-//!   boundary; a second pass replays all fragments concurrently on the
-//!   `neura_lab` work-stealing runner, each recording its slice of the
-//!   output, and the slices concatenate in epoch order. Because a pause
-//!   happens *before* the time-advance accrual, a span that crosses a
-//!   boundary is still accrued in one `f64` operation by the next
-//!   fragment — so the merged artifact is byte-identical to the serial
-//!   engine for every epoch width and every thread count (serial = one
-//!   epoch).
-//! - **Lanes** partition a closed-loop scenario *itself*: clients and
-//!   shard groups split round-robin into independent sub-scenarios that
-//!   replay concurrently and merge deterministically (arrivals by
-//!   `(time, lane, position)`, shard slots re-laid group-major, per-group
-//!   counters summed in lane order). A lane count is part of the
-//!   scenario definition — `lanes = 4` is a *different scenario* than
-//!   `lanes = 1`, with identical results for every thread count — and is
-//!   what buys near-linear speedup on long closed-loop replays.
-//!
-//! The [`sim`](crate::sim) entry points are thin wrappers over
-//! [`simulate_config_parallel`] and friends with a serial plan.
+//! The [`sim`](crate::sim) entry points are thin wrappers over this module
+//! with a serial plan.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -48,31 +34,19 @@ use crate::scenario::{TenantMix, TENANT_BURST_S};
 use crate::sim::{ServeConfig, ServeOutcome, TenantOutcome, SHED_LATENCY_S};
 use crate::telemetry::{ShedReason, Trace, TraceEvent, TraceGroup, TraceTenant};
 
-/// Upper bound on the number of epoch fragments a plan expands to, so a
-/// tiny `--epoch-ms` against a long horizon cannot allocate an absurd
-/// seam vector. Beyond it the remaining timeline runs as one fragment.
-pub const MAX_EPOCHS: usize = 1024;
-
-/// How a scenario replay is decomposed for parallel execution.
+/// How a closed-loop scenario replay is decomposed for parallel execution.
 ///
-/// The default ([`EnginePlan::serial`]) runs the classic single-fragment
-/// event loop. Epoch settings split the timeline; a lane count splits a
-/// closed-loop scenario into independent sub-scenarios (see the module
-/// docs for the determinism contract of each axis).
+/// The default ([`EnginePlan::serial`]) runs the single-pass event loop; a
+/// lane count splits a closed-loop scenario into independent
+/// sub-scenarios (see the module docs for the determinism contract).
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnginePlan {
-    /// Number of equal-width timeline epochs over the workload horizon
-    /// (used when [`Self::epoch_s`] is unset; `1` = serial).
-    pub epochs: usize,
-    /// Explicit epoch width in simulated seconds; overrides
-    /// [`Self::epochs`] when set.
-    pub epoch_s: Option<f64>,
     /// Closed-loop lane count (`1` = undecomposed). Lanes apply only to
     /// closed-loop workloads without autoscaling, admission control,
     /// tenants, or effectful faults; ineligible scenarios fall back to
-    /// the epoch/serial path.
+    /// the serial replay.
     pub lanes: usize,
-    /// Worker threads for the fragment fan-out; `None` reads
+    /// Worker threads for the lane fan-out; `None` reads
     /// `NEURA_LAB_THREADS` (the `neura_lab::Runner` default).
     pub threads: Option<usize>,
 }
@@ -84,31 +58,9 @@ impl Default for EnginePlan {
 }
 
 impl EnginePlan {
-    /// The serial plan: one epoch, one lane, runner-default threads.
+    /// The serial plan: one lane, runner-default threads.
     pub fn serial() -> Self {
-        EnginePlan { epochs: 1, epoch_s: None, lanes: 1, threads: None }
-    }
-
-    /// Sets the epoch count (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `epochs == 0`.
-    pub fn with_epochs(mut self, epochs: usize) -> Self {
-        assert!(epochs >= 1, "an engine plan needs at least one epoch");
-        self.epochs = epochs;
-        self
-    }
-
-    /// Sets an explicit epoch width in simulated seconds (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `width_s` is finite and positive.
-    pub fn with_epoch_s(mut self, width_s: f64) -> Self {
-        assert!(width_s.is_finite() && width_s > 0.0, "epoch width must be finite and positive");
-        self.epoch_s = Some(width_s);
-        self
+        EnginePlan { lanes: 1, threads: None }
     }
 
     /// Sets the closed-loop lane count (builder style).
@@ -134,42 +86,11 @@ impl EnginePlan {
         self
     }
 
-    /// Whether this plan decomposes nothing (single epoch, single lane).
-    pub fn is_serial(&self) -> bool {
-        self.epochs <= 1 && self.epoch_s.is_none() && self.lanes <= 1
-    }
-
     fn runner(&self) -> Runner {
         match self.threads {
             Some(threads) => Runner::new(threads),
             None => Runner::from_env(),
         }
-    }
-
-    /// The epoch boundaries (exclusive fragment limits) over `horizon`
-    /// simulated seconds — strictly increasing, all within `(0, horizon)`.
-    /// Empty for a serial plan or a degenerate horizon.
-    fn boundaries(&self, horizon: f64) -> Vec<f64> {
-        if !horizon.is_finite() || horizon <= 0.0 {
-            return Vec::new();
-        }
-        let mut cuts = Vec::new();
-        if let Some(width) = self.epoch_s {
-            // Multiply per boundary instead of accumulating so the cut
-            // positions don't drift with float error.
-            let mut k = 1usize;
-            while (k as f64) * width < horizon && cuts.len() < MAX_EPOCHS - 1 {
-                cuts.push(k as f64 * width);
-                k += 1;
-            }
-        } else if self.epochs > 1 {
-            let epochs = self.epochs.min(MAX_EPOCHS);
-            for k in 1..epochs {
-                cuts.push(horizon * k as f64 / epochs as f64);
-            }
-        }
-        cuts.dedup();
-        cuts
     }
 }
 
@@ -198,7 +119,7 @@ impl Ord for TimeKey {
 type IssueQueue = BinaryHeap<Reverse<(TimeKey, usize)>>;
 
 /// The central backlog, shaped by the policy.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Backlog {
     /// FIFO / SJF: one queue in arrival order.
     Single(VecDeque<usize>),
@@ -328,11 +249,11 @@ fn class_ready(
 ///
 /// - `Open`: a cursor into a pre-materialised open-loop stream. The stream
 ///   lives in [`Ctx`] and its arrived prefix `stream[..cursor]` is viewed
-///   in place, never copied, so seam clones stay cheap.
+///   in place, never copied.
 /// - `Closed`: a client population driven by completions. Its requests
 ///   only exist once issued, so they are generated into `arrived`, with
 ///   the issuing client of each in `owners`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum SourceState {
     Open {
         cursor: usize,
@@ -410,7 +331,7 @@ impl SourceState {
 }
 
 /// A scheduled fleet-size change waiting for its provisioning delay.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug)]
 struct PendingOp {
     effect_s: f64,
     decision_s: f64,
@@ -422,7 +343,7 @@ struct PendingOp {
 /// `burst` ceiling of [`TENANT_BURST_S`] seconds' worth (at least 1);
 /// admitting a request costs one token. Starts full, so a tenant may
 /// admit at most `burst + rate × t` requests by time `t`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct TenantGate {
     rate: f64,
     burst: f64,
@@ -448,7 +369,7 @@ impl TenantGate {
     }
 }
 
-/// The immutable (fragment-shared) side of one scenario replay.
+/// The immutable side of one scenario replay.
 struct Ctx<'a> {
     cfg: &'a ServeConfig<'a>,
     tenants: Option<&'a TenantMix>,
@@ -462,14 +383,9 @@ struct Ctx<'a> {
     admission: bool,
 }
 
-/// Everything one fragment hands the next: the complete dynamic state of
-/// the event loop at a pause point. Cloning an `EngineState` at an epoch
-/// boundary is the seam — queue handoff, in-flight carry-over, fault
-/// plan, pending provisioning ops, autoscaler clock, and the closed-loop
-/// RNG streams all travel with it. The arrived requests live in
-/// [`SourceState`]: an open stream's are a cursor into [`Ctx::stream`], so
-/// a seam clone copies no part of the stream.
-#[derive(Debug, Clone)]
+/// The complete dynamic state of the event loop. The arrived requests live
+/// in [`SourceState`]: an open stream's are a cursor into [`Ctx::stream`].
+#[derive(Debug)]
 struct EngineState {
     now: f64,
     fleet: ShardFleet,
@@ -490,19 +406,16 @@ struct EngineState {
     depth_max: usize,
 }
 
-/// One fragment's recorded slice of the outputs: everything the serial
-/// loop appended to as it ran. Fragments only *append* — outputs never
-/// feed back into the dynamics — so slices concatenate in epoch order
-/// into exactly the serial vectors.
+/// Everything the event loop appends to as it runs, in event order.
+/// Outputs never feed back into the dynamics.
 #[derive(Debug, Default)]
-struct FragmentOut {
-    /// `(id, latency)` of every request resolved in this fragment —
-    /// served at completion, or shed (the [`SHED_LATENCY_S`] sentinel)
-    /// at admission.
+struct ReplayLog {
+    /// `(id, latency)` of every resolved request — served at completion,
+    /// or shed (the [`SHED_LATENCY_S`] sentinel) at admission.
     latencies: Vec<(usize, f64)>,
-    /// Ids shed in this fragment, in event order.
+    /// Shed ids, in event order.
     shed: Vec<usize>,
-    /// `(finish, size)` of every batch completed in this fragment.
+    /// `(finish, size)` of every completed batch.
     batch_sizes: Vec<(f64, usize)>,
     crash_events: Vec<CrashEvent>,
     scale_events: Vec<ScaleEvent>,
@@ -510,17 +423,13 @@ struct FragmentOut {
     events: Option<Vec<TraceEvent>>,
 }
 
-impl FragmentOut {
+impl ReplayLog {
     fn new(tracing: bool) -> Self {
-        FragmentOut { events: tracing.then(Vec::new), ..Default::default() }
+        ReplayLog { events: tracing.then(Vec::new), ..Default::default() }
     }
 }
 
-fn trace_buf<'b>(out: &'b mut Option<&mut FragmentOut>) -> Option<&'b mut Vec<TraceEvent>> {
-    out.as_deref_mut().and_then(|o| o.events.as_mut())
-}
-
-/// The event-loop state at `t = 0`, mirroring the serial prelude.
+/// The event-loop state at `t = 0`.
 ///
 /// # Panics
 ///
@@ -575,30 +484,13 @@ fn initial_state(
     }
 }
 
-/// Advances the event loop until the next event would land at or after
-/// `limit`, or until no further event exists. Returns `true` when the
-/// replay drained (no event at any time — the terminal state), `false`
-/// when it paused at the limit.
-///
-/// The pause happens *before* the time-advance accrual, so the span that
-/// crosses the boundary is accrued in a single `f64` operation by the
-/// next fragment, and an event exactly on a boundary belongs to the next
-/// fragment (fragments cover half-open windows `[start, limit)`). On
-/// drain the terminal capacity accrual runs (provisioned capacity is
-/// paid for until the last batch completes) and `now` advances to the
-/// makespan, so re-entering a drained state is a no-op rather than a
-/// second accrual.
-///
-/// With `out = None` only the state advances (the cheap seam-finding
-/// pass); with `Some`, resolved latencies, batch completions,
-/// crash/scale events and (when enabled) lifecycle trace events are
-/// recorded in event order.
-fn run_until(
-    ctx: &Ctx<'_>,
-    st: &mut EngineState,
-    limit: f64,
-    mut out: Option<&mut FragmentOut>,
-) -> bool {
+/// Runs the event loop from `st` until no event remains, logging every
+/// resolved latency, batch completion, crash/scale event and (when
+/// `tracing`) lifecycle trace event in event order. On drain the terminal
+/// capacity accrual runs: provisioned capacity is paid for until the last
+/// batch completes.
+fn run(ctx: &Ctx<'_>, mut st: EngineState, tracing: bool) -> (EngineState, ReplayLog) {
+    let mut out = ReplayLog::new(tracing);
     let cfg = ctx.cfg;
     let policy = cfg.policy;
     let costs = cfg.costs;
@@ -610,10 +502,7 @@ fn run_until(
         // holds it (returning the unit to the queue head) to wait for busy
         // preferred silicon — in which case the next release is the event
         // that re-offers it. Latencies finalise at *completion*, not here:
-        // a crash may still retract the batch. Re-running this loop when a
-        // fragment resumes is a state-preserving no-op: everything
-        // dispatchable at the pause instant was already dispatched (or
-        // held, and the hold re-selects the same unit and restores it).
+        // a crash may still retract the batch.
         loop {
             let idle = st.fleet.idle_shards(st.now);
             if idle.is_empty() {
@@ -639,7 +528,7 @@ fn run_until(
             let degraded = st.plan.as_ref().map_or(1.0, |p| p.multiplier(st.fleet.group_of(shard)));
             let service_s = healthy * degraded;
             st.fleet.dispatch(shard, st.now, service_s, batch.len() as u64);
-            if let Some(events) = trace_buf(&mut out) {
+            if let Some(events) = out.events.as_mut() {
                 events.push(TraceEvent::Dispatch {
                     at_s: st.now,
                     shard,
@@ -689,16 +578,11 @@ fn run_until(
         }
         if !t_next.is_finite() {
             // Drained. Provisioned capacity is paid for until the last
-            // batch completes; advancing `now` to the makespan makes the
-            // terminal accrual idempotent across later fragments.
+            // batch completes.
             if st.makespan > st.now {
                 st.fleet.accrue(st.makespan - st.now);
-                st.now = st.makespan;
             }
-            return true;
-        }
-        if t_next >= limit {
-            return false;
+            return (st, out);
         }
         st.fleet.accrue(t_next - st.now);
         st.depth_integral += st.backlog.len() as f64 * (t_next - st.now);
@@ -715,22 +599,18 @@ fn run_until(
                     let request = st.source.arrived(ctx.stream)[id];
                     let latency = finish - request.arrival_s;
                     st.source.on_complete(id, finish);
-                    if let Some(o) = out.as_deref_mut() {
-                        o.latencies.push((id, latency));
-                        if let Some(events) = o.events.as_mut() {
-                            events.push(TraceEvent::Complete {
-                                at_s: finish,
-                                id,
-                                tenant: request.tenant,
-                                latency_s: latency,
-                            });
-                        }
+                    out.latencies.push((id, latency));
+                    if let Some(events) = out.events.as_mut() {
+                        events.push(TraceEvent::Complete {
+                            at_s: finish,
+                            id,
+                            tenant: request.tenant,
+                            latency_s: latency,
+                        });
                     }
                 }
                 st.makespan = st.makespan.max(finish);
-                if let Some(o) = out.as_deref_mut() {
-                    o.batch_sizes.push((finish, batch.len()));
-                }
+                out.batch_sizes.push((finish, batch.len()));
             }
         }
 
@@ -745,7 +625,7 @@ fn run_until(
             if let Some(count) = st.tenant_offered.get_mut(tenant) {
                 *count += 1;
             }
-            if let Some(events) = trace_buf(&mut out) {
+            if let Some(events) = out.events.as_mut() {
                 events.push(TraceEvent::Arrival { at_s: st.now, id, tenant });
             }
             let mut reason = ShedReason::QueueFull;
@@ -766,19 +646,17 @@ fn run_until(
             };
             if admit {
                 st.backlog.push(id, class);
-                if let Some(events) = trace_buf(&mut out) {
+                if let Some(events) = out.events.as_mut() {
                     events.push(TraceEvent::Admit { at_s: st.now, id });
                 }
             } else {
                 if let Some(count) = st.tenant_shed.get_mut(tenant) {
                     *count += 1;
                 }
-                if let Some(o) = out.as_deref_mut() {
-                    o.latencies.push((id, SHED_LATENCY_S));
-                    o.shed.push(id);
-                    if let Some(events) = o.events.as_mut() {
-                        events.push(TraceEvent::Shed { at_s: st.now, id, tenant, reason });
-                    }
+                out.latencies.push((id, SHED_LATENCY_S));
+                out.shed.push(id);
+                if let Some(events) = out.events.as_mut() {
+                    events.push(TraceEvent::Shed { at_s: st.now, id, tenant, reason });
                 }
                 st.source.on_complete(id, st.now);
             }
@@ -821,22 +699,20 @@ fn run_until(
                     st.backlog.push_front(&batch, class);
                 }
                 st.fleet.crash(victim, st.now, redispatched as u64);
-                if let Some(o) = out.as_deref_mut() {
-                    o.crash_events.push(CrashEvent {
+                out.crash_events.push(CrashEvent {
+                    at_s: st.now,
+                    shard: victim,
+                    group,
+                    redispatched,
+                });
+                if let Some(events) = out.events.as_mut() {
+                    events.push(TraceEvent::Crash {
                         at_s: st.now,
                         shard: victim,
                         group,
                         redispatched,
+                        lost_service_s,
                     });
-                    if let Some(events) = o.events.as_mut() {
-                        events.push(TraceEvent::Crash {
-                            at_s: st.now,
-                            shard: victim,
-                            group,
-                            redispatched,
-                            lost_service_s,
-                        });
-                    }
                 }
                 st.depth_max = st.depth_max.max(st.backlog.len());
             }
@@ -869,7 +745,7 @@ fn run_until(
                     st.fleet.activate(op.group, st.now).is_some()
                 } else {
                     st.provision_failures += 1;
-                    if let Some(events) = trace_buf(&mut out) {
+                    if let Some(events) = out.events.as_mut() {
                         events.push(TraceEvent::ProvisionFailure { at_s: st.now, group: op.group });
                     }
                     false
@@ -881,22 +757,20 @@ fn run_until(
                     .is_some()
             };
             if applied {
-                if let Some(o) = out.as_deref_mut() {
-                    o.scale_events.push(ScaleEvent {
-                        decision_s: op.decision_s,
-                        effect_s: st.now,
+                out.scale_events.push(ScaleEvent {
+                    decision_s: op.decision_s,
+                    effect_s: st.now,
+                    group: op.group,
+                    delta: op.delta,
+                    active_total: st.fleet.active_shards(),
+                });
+                if let Some(events) = out.events.as_mut() {
+                    events.push(TraceEvent::Scale {
+                        at_s: st.now,
                         group: op.group,
                         delta: op.delta,
                         active_total: st.fleet.active_shards(),
                     });
-                    if let Some(events) = o.events.as_mut() {
-                        events.push(TraceEvent::Scale {
-                            at_s: st.now,
-                            group: op.group,
-                            delta: op.delta,
-                            active_total: st.fleet.active_shards(),
-                        });
-                    }
                 }
             }
         }
@@ -929,9 +803,9 @@ fn run_until(
     }
 }
 
-/// Builds the final [`ServeOutcome`] (and trace) from a terminal state
-/// and the merged fragment outputs.
-fn assemble(ctx: &Ctx<'_>, st: EngineState, out: FragmentOut) -> (ServeOutcome, Option<Trace>) {
+/// Builds the final [`ServeOutcome`] (and trace) from a drained state and
+/// its log.
+fn assemble(ctx: &Ctx<'_>, st: EngineState, out: ReplayLog) -> (ServeOutcome, Option<Trace>) {
     let (cfg, tenants) = (ctx.cfg, ctx.tenants);
     let arrived = st.source.arrived(ctx.stream);
     let mut latencies = vec![f64::NAN; arrived.len()];
@@ -991,66 +865,6 @@ fn assemble(ctx: &Ctx<'_>, st: EngineState, out: FragmentOut) -> (ServeOutcome, 
     (outcome, trace)
 }
 
-/// Runs one scenario as epoch fragments: a cheap serial pass finds the
-/// seam state at every boundary, then every fragment replays concurrently
-/// with output recording on and the slices concatenate in epoch order.
-fn run_fragments(
-    ctx: &Ctx<'_>,
-    initial: EngineState,
-    horizon: f64,
-    plan: &EnginePlan,
-    tracing: bool,
-) -> (ServeOutcome, Option<Trace>) {
-    let boundaries = plan.boundaries(horizon);
-    if boundaries.is_empty() {
-        // Serial fast path: one fragment, no seam clones, no fan-out.
-        let mut st = initial;
-        let mut out = FragmentOut::new(tracing);
-        run_until(ctx, &mut st, f64::INFINITY, Some(&mut out));
-        return assemble(ctx, st, out);
-    }
-
-    // Pass 1 (serial, output-free): the seam state at each boundary.
-    // Re-entering a drained state is a no-op, so the walk safely covers
-    // boundaries past the end of the action.
-    let mut fragments: Vec<(EngineState, f64)> = Vec::with_capacity(boundaries.len() + 1);
-    let mut cursor = initial;
-    for &boundary in &boundaries {
-        let mut next = cursor.clone();
-        run_until(ctx, &mut next, boundary, None);
-        fragments.push((cursor, boundary));
-        cursor = next;
-    }
-    fragments.push((cursor, f64::INFINITY));
-
-    // Pass 2 (parallel): replay every fragment with recording on. The
-    // runner returns results in fragment order regardless of thread
-    // interleaving, and outputs never feed back into the dynamics, so
-    // concatenation reproduces the serial output byte for byte.
-    let runner = plan.runner();
-    let results = runner.run(&fragments, |_, (seam, limit)| {
-        let mut st = seam.clone();
-        let mut out = FragmentOut::new(tracing);
-        run_until(ctx, &mut st, *limit, Some(&mut out));
-        (st, out)
-    });
-
-    let mut merged = FragmentOut::new(tracing);
-    let mut terminal = None;
-    for (state, out) in results {
-        merged.latencies.extend(out.latencies);
-        merged.shed.extend(out.shed);
-        merged.batch_sizes.extend(out.batch_sizes);
-        merged.crash_events.extend(out.crash_events);
-        merged.scale_events.extend(out.scale_events);
-        if let (Some(into), Some(events)) = (merged.events.as_mut(), out.events) {
-            into.extend(events);
-        }
-        terminal = Some(state);
-    }
-    assemble(ctx, terminal.expect("at least one fragment"), merged)
-}
-
 /// How many lanes a closed-loop scenario actually decomposes into under
 /// `plan`: the requested count clamped to the client count and the
 /// smallest group, and 1 whenever a feature that couples the lanes —
@@ -1072,8 +886,7 @@ fn lane_count(spec: &ClosedLoopSpec, cfg: &ServeConfig<'_>, plan: &EnginePlan) -
 
 /// Replays a closed-loop scenario as `lanes` independent sub-scenarios —
 /// clients and shard groups split round-robin by global index — and
-/// merges them deterministically. Each lane is one serial fragment (the
-/// lane split, not the timeline split, is the parallelism axis here).
+/// merges them deterministically. Each lane is one serial replay.
 fn run_lanes(
     spec: &ClosedLoopSpec,
     cfg: &ServeConfig<'_>,
@@ -1090,10 +903,7 @@ fn run_lanes(
         lane_cfg.groups = &lane_fleets[lane];
         let (clients, first) = spec.lane_clients(lane, lanes);
         let ctx = Ctx { cfg: &lane_cfg, tenants: None, stream: &[], admission: false };
-        let mut st = initial_state(&lane_cfg, None, SourceState::closed(clients, first));
-        let mut out = FragmentOut::new(tracing);
-        run_until(&ctx, &mut st, f64::INFINITY, Some(&mut out));
-        (st, out)
+        run(&ctx, initial_state(&lane_cfg, None, SourceState::closed(clients, first)), tracing)
     });
     merge_lanes(cfg, &results, lanes, tracing)
 }
@@ -1105,7 +915,7 @@ fn run_lanes(
 /// order — so the merged outcome is identical for every thread count.
 fn merge_lanes(
     cfg: &ServeConfig<'_>,
-    results: &[(EngineState, FragmentOut)],
+    results: &[(EngineState, ReplayLog)],
     lanes: usize,
     tracing: bool,
 ) -> (ServeOutcome, Option<Trace>) {
@@ -1305,17 +1115,17 @@ fn remap_event(event: &TraceEvent, ids: &[usize], slots: &[usize]) -> TraceEvent
     }
 }
 
+/// Replays one open-loop stream (admission control on) in a single pass.
 fn run_stream(
     stream: &[Request],
     cfg: &ServeConfig<'_>,
     tenants: Option<&TenantMix>,
-    horizon: f64,
-    plan: &EnginePlan,
     tracing: bool,
 ) -> (ServeOutcome, Option<Trace>) {
     let ctx = Ctx { cfg, tenants, stream, admission: true };
-    let initial = initial_state(cfg, tenants, SourceState::Open { cursor: 0 });
-    run_fragments(&ctx, initial, horizon, plan, tracing)
+    let (st, out) =
+        run(&ctx, initial_state(cfg, tenants, SourceState::Open { cursor: 0 }), tracing);
+    assemble(&ctx, st, out)
 }
 
 fn run_workload(
@@ -1328,12 +1138,12 @@ fn run_workload(
         Workload::Open(spec) => {
             let stream = spec.generate();
             assert_sorted(&stream);
-            run_stream(&stream, cfg, cfg.tenants, spec.duration_s, plan, tracing)
+            run_stream(&stream, cfg, cfg.tenants, tracing)
         }
         Workload::Shaped(shaped) => {
             let stream = shaped.generate();
             let tenants = cfg.tenants.or(shaped.tenants.as_ref());
-            run_stream(&stream, cfg, tenants, shaped.base.duration_s, plan, tracing)
+            run_stream(&stream, cfg, tenants, tracing)
         }
         Workload::Closed(spec) => {
             let lanes = lane_count(spec, cfg, plan);
@@ -1343,7 +1153,8 @@ fn run_workload(
             let (clients, first) = spec.clients();
             let ctx = Ctx { cfg, tenants: cfg.tenants, stream: &[], admission: false };
             let initial = initial_state(cfg, cfg.tenants, SourceState::closed(clients, first));
-            run_fragments(&ctx, initial, spec.duration_s, plan, tracing)
+            let (st, out) = run(&ctx, initial, tracing);
+            assemble(&ctx, st, out)
         }
     }
 }
@@ -1356,11 +1167,9 @@ fn assert_sorted(requests: &[Request]) {
 }
 
 /// [`simulate_config`](crate::sim::simulate_config) under an explicit
-/// [`EnginePlan`]: the same outcome, computed by epoch fragments and/or
-/// closed-loop lanes. With [`EnginePlan::serial`] this *is* the serial
-/// engine; with epochs the outcome is byte-identical to serial for every
-/// epoch width and thread count; with lanes the lane count is part of
-/// the scenario (identical across thread counts at a fixed lane count).
+/// [`EnginePlan`]. With [`EnginePlan::serial`] this *is* the serial
+/// engine; with lanes the lane count is part of the scenario (identical
+/// across thread counts at a fixed lane count).
 ///
 /// # Panics
 ///
@@ -1389,36 +1198,18 @@ pub fn simulate_config_traced_parallel(
     (outcome, trace.expect("tracing was requested"))
 }
 
-/// [`simulate_stream_config`](crate::sim::simulate_stream_config) under
-/// an explicit [`EnginePlan`] (epoch fragments only — lanes apply to
-/// closed loops).
+/// Replays an explicit, pre-generated open-loop stream (the engine side
+/// of [`simulate_stream_config`](crate::sim::simulate_stream_config) and
+/// its traced twin).
 ///
 /// # Panics
 ///
 /// As [`simulate`](crate::sim::simulate).
-pub fn simulate_stream_config_parallel(
+pub(crate) fn replay_stream(
     requests: &[Request],
     cfg: &ServeConfig<'_>,
-    plan: &EnginePlan,
-) -> ServeOutcome {
+    tracing: bool,
+) -> (ServeOutcome, Option<Trace>) {
     assert_sorted(requests);
-    let horizon = requests.last().map_or(0.0, |r| r.arrival_s);
-    run_stream(requests, cfg, cfg.tenants, horizon, plan, false).0
-}
-
-/// [`simulate_stream_config_parallel`] that additionally records the
-/// lifecycle [`Trace`].
-///
-/// # Panics
-///
-/// As [`simulate`](crate::sim::simulate).
-pub fn simulate_stream_config_traced_parallel(
-    requests: &[Request],
-    cfg: &ServeConfig<'_>,
-    plan: &EnginePlan,
-) -> (ServeOutcome, Trace) {
-    assert_sorted(requests);
-    let horizon = requests.last().map_or(0.0, |r| r.arrival_s);
-    let (outcome, trace) = run_stream(requests, cfg, cfg.tenants, horizon, plan, true);
-    (outcome, trace.expect("tracing was requested"))
+    run_stream(requests, cfg, cfg.tenants, tracing)
 }

@@ -30,10 +30,10 @@
 //! non-negative latency), shed (the [`SHED_LATENCY_S`] sentinel), or
 //! crashed-and-redispatched until served.
 //!
-//! The event loop itself lives in [`crate::engine`] as a resumable
-//! fragment runner; the entry points here are thin wrappers running an
-//! [`EnginePlan::serial`] plan, so their signatures and artifacts are
-//! unchanged while `engine` adds epoch- and lane-parallel execution.
+//! The event loop itself lives in [`crate::engine`]; the entry points here
+//! are thin wrappers that replay in one serial pass. Closed-loop lane
+//! decomposition is reached through
+//! [`simulate_config_parallel`](crate::engine::simulate_config_parallel).
 
 use neura_lab::RunRecord;
 
@@ -42,8 +42,7 @@ use crate::autoscale::{AutoscalePolicy, ScaleEvent};
 use crate::cost::CostTable;
 use crate::dispatch::DispatchKind;
 use crate::engine::{
-    simulate_config_parallel, simulate_config_traced_parallel, simulate_stream_config_parallel,
-    simulate_stream_config_traced_parallel, EnginePlan,
+    replay_stream, simulate_config_parallel, simulate_config_traced_parallel, EnginePlan,
 };
 use crate::fault::{CrashEvent, FaultSpec};
 use crate::fleet::{GroupStats, ShardGroup, ShardStats};
@@ -582,7 +581,7 @@ pub fn simulate_config_traced(workload: &Workload, cfg: &ServeConfig<'_>) -> (Se
 ///
 /// As [`simulate`].
 pub fn simulate_stream_config(requests: &[Request], cfg: &ServeConfig<'_>) -> ServeOutcome {
-    simulate_stream_config_parallel(requests, cfg, &EnginePlan::serial())
+    replay_stream(requests, cfg, false).0
 }
 
 /// [`simulate_stream_config`] that additionally records the lifecycle
@@ -595,7 +594,8 @@ pub fn simulate_stream_config_traced(
     requests: &[Request],
     cfg: &ServeConfig<'_>,
 ) -> (ServeOutcome, Trace) {
-    simulate_stream_config_traced_parallel(requests, cfg, &EnginePlan::serial())
+    let (outcome, trace) = replay_stream(requests, cfg, true);
+    (outcome, trace.expect("tracing was requested"))
 }
 
 #[cfg(test)]

@@ -17,9 +17,8 @@
 //!    land in log-spaced buckets (the float's exponent plus the top
 //!    [`SUB_BUCKET_BITS`] mantissa bits), so [`LatencyHistogram::merge`]
 //!    is exact bucket-count addition and every reported percentile sits
-//!    within [`RELATIVE_ERROR_BOUND`] of the exact-sort answer. This is
-//!    the state a future parallel-in-time engine can merge across
-//!    timeline fragments.
+//!    within [`RELATIVE_ERROR_BOUND`] of the exact-sort answer, which is
+//!    what lets windowed percentiles combine exactly.
 //! 3. **[`Timeline`]** — the windowed view. [`Timeline::build`] replays a
 //!    trace into fixed-width windows sampling queue depth, in-flight
 //!    count, shed rate, per-group utilisation and active shards,

@@ -1,19 +1,17 @@
-//! Property tests of the parallel-in-time engine's determinism contract:
-//! for *arbitrary* scenario specs — bursty and Poisson streams, every
-//! policy, elastic fleets, bounded queues, fault regimes — and arbitrary
-//! epoch plans (counts, widths, thread counts), the merged parallel
-//! replay must produce the same outcome, the same trace and the same
-//! artifact bytes as the serial engine; admitted requests are served or
-//! shed exactly once across every seam; and the closed-loop lane
-//! decomposition is thread-invariant at any fixed lane count.
+//! Property tests of the serving engine's contracts: for *arbitrary*
+//! scenario specs — bursty and Poisson streams, every policy, elastic
+//! fleets, bounded queues, fault regimes — every admitted request is
+//! served or shed exactly once and tracing never changes the outcome; and
+//! the closed-loop lane decomposition is thread-invariant at any fixed
+//! lane count.
 
 use neura_chip::config::ChipConfig;
 use neura_lab::Artifact;
 use neura_serve::{
-    simulate_config_traced_parallel, simulate_stream_config_traced,
-    simulate_stream_config_traced_parallel, ArrivalProcess, AutoscalePolicy, ClassCost,
-    ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, FaultSpec, Policy, RequestClass,
-    ServeConfig, ShardGroup, StreamSpec, Workload,
+    simulate_config_traced_parallel, simulate_stream_config, simulate_stream_config_traced,
+    ArrivalProcess, AutoscalePolicy, ClassCost, ClosedLoopSpec, CostTable, DispatchKind,
+    EnginePlan, FaultSpec, Policy, RequestClass, ServeConfig, ShardGroup, StreamSpec, TraceEvent,
+    Workload,
 };
 use proptest::prelude::*;
 
@@ -60,21 +58,6 @@ fn arb_policy() -> impl Strategy<Value = Policy> {
     })
 }
 
-/// An arbitrary epoch plan: a fragment count or a width in seconds, on an
-/// arbitrary worker-pool size (1 = pinned serial execution of the same
-/// fragment schedule).
-fn arb_plan() -> impl Strategy<Value = EnginePlan> {
-    (0usize..2, 2usize..=12, 0.001f64..0.3, 0usize..3).prop_map(
-        |(kind, epochs, width_s, threads)| {
-            let plan = match kind {
-                0 => EnginePlan::serial().with_epochs(epochs),
-                _ => EnginePlan::serial().with_epoch_s(width_s),
-            };
-            plan.with_threads([1, 2, 8][threads])
-        },
-    )
-}
-
 /// An arbitrary fault regime over the stream horizon: up to two crashes,
 /// flaky or bricked provisioning, optionally degraded silicon.
 fn arb_fault(window_s: f64) -> impl Strategy<Value = Option<FaultSpec>> {
@@ -101,16 +84,15 @@ fn artifact_bytes(outcome: &neura_serve::ServeOutcome) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The headline contract: for any scenario — including autoscaling,
-    /// bounded queues and fault injection — and any epoch plan, the
-    /// parallel replay's outcome, trace and artifact bytes all equal the
-    /// serial engine's, and every admitted request is served or shed
-    /// exactly once across the seams.
+    /// Request conservation: for any scenario — including autoscaling,
+    /// bounded queues and fault injection — every arrival is admitted or
+    /// shed exactly once, and every admitted request completes exactly
+    /// once (crash re-dispatches included). The traced replay's outcome
+    /// and artifact bytes equal the untraced replay's.
     #[test]
-    fn epoch_replay_is_byte_identical_to_serial(
+    fn every_admitted_request_is_served_or_shed_exactly_once(
         spec in arb_stream(),
         policy in arb_policy(),
-        plan in arb_plan(),
         shards in 2usize..=4,
         elastic in 0usize..2,
         bound_pick in 0usize..9,
@@ -131,49 +113,37 @@ proptest! {
         cfg.queue_bound = (bound_pick > 0).then_some(bound_pick);
         cfg.faults = fault.as_ref();
 
-        let (serial, serial_trace) = simulate_stream_config_traced(&stream, &cfg);
-        let (parallel, parallel_trace) =
-            simulate_stream_config_traced_parallel(&stream, &cfg, &plan);
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(&serial_trace, &parallel_trace);
-        prop_assert_eq!(artifact_bytes(&serial), artifact_bytes(&parallel));
-        // Conservation across seams: shed + served partition the stream.
-        prop_assert_eq!(parallel.requests() + parallel.shed.len(), stream.len());
-        prop_assert_eq!(parallel.latencies_s.len(), stream.len());
-        for &id in &parallel.shed {
-            prop_assert!(parallel.latencies_s[id] < 0.0, "shed request {} has a latency", id);
+        let (outcome, trace) = simulate_stream_config_traced(&stream, &cfg);
+        let untraced = simulate_stream_config(&stream, &cfg);
+        prop_assert_eq!(&outcome, &untraced);
+        prop_assert_eq!(artifact_bytes(&outcome), artifact_bytes(&untraced));
+        // Shed + served partition the stream.
+        prop_assert_eq!(outcome.requests() + outcome.shed.len(), stream.len());
+        prop_assert_eq!(outcome.latencies_s.len(), stream.len());
+        for &id in &outcome.shed {
+            prop_assert!(outcome.latencies_s[id] < 0.0, "shed request {} has a latency", id);
         }
-    }
-
-    /// Closed-loop workloads under an arbitrary epoch plan (no lanes):
-    /// same contract, demand regenerated from completions across seams.
-    #[test]
-    fn closed_loop_epochs_are_identical_to_serial(
-        clients in 1usize..=16,
-        think_ms in 0.0f64..5.0,
-        policy in arb_policy(),
-        plan in arb_plan(),
-        shards in 1usize..=3,
-        seed in 0u64..500,
-    ) {
-        let workload = Workload::Closed(ClosedLoopSpec {
-            clients,
-            think_s: think_ms / 1e3,
-            duration_s: 0.25,
-            mix_size: 2,
-            shrinks: vec![1, 2],
-            seed,
-        });
-        let costs = synthetic_costs(2, &[1, 2]);
-        let fleet = tile16_fleet(shards);
-        let cfg = ServeConfig::new(policy, &fleet, DispatchKind::LeastLoaded, &costs);
-        let (serial, serial_trace) =
-            simulate_config_traced_parallel(&workload, &cfg, &EnginePlan::serial());
-        let (parallel, parallel_trace) = simulate_config_traced_parallel(&workload, &cfg, &plan);
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(&serial_trace, &parallel_trace);
-        prop_assert!(parallel.max_in_flight() <= clients);
-        prop_assert_eq!(parallel.batch_sizes.iter().sum::<usize>(), parallel.requests());
+        // Per request, the lifecycle: one arrival, then exactly one of
+        // admit-and-complete or shed.
+        let mut arrived = vec![0u32; stream.len()];
+        let mut admitted = vec![0u32; stream.len()];
+        let mut completed = vec![0u32; stream.len()];
+        let mut shed = vec![0u32; stream.len()];
+        for event in &trace.events {
+            match *event {
+                TraceEvent::Arrival { id, .. } => arrived[id] += 1,
+                TraceEvent::Admit { id, .. } => admitted[id] += 1,
+                TraceEvent::Complete { id, .. } => completed[id] += 1,
+                TraceEvent::Shed { id, .. } => shed[id] += 1,
+                _ => {}
+            }
+        }
+        for id in 0..stream.len() {
+            prop_assert!(arrived[id] == 1, "request {} arrived {} times", id, arrived[id]);
+            prop_assert!(admitted[id] + shed[id] == 1, "request {} not admitted or shed once", id);
+            prop_assert!(completed[id] == admitted[id], "request {} not completed once", id);
+            prop_assert_eq!(outcome.latencies_s[id] >= 0.0, completed[id] == 1);
+        }
     }
 
     /// The lane decomposition at any fixed lane count is invariant to the

@@ -1,21 +1,11 @@
-//! Seam-hazard tests of the parallel-in-time engine: hand-built schedules
-//! where the nastiest timer interactions — a batch flush deadline, an
-//! autoscaler check and a request arrival — land *exactly on* or straddle
-//! an epoch boundary, and the epoch replay must still fire them in serial
-//! order (outcome *and* trace byte-equal to the serial engine). Every
-//! time constant here is a power-of-two fraction of a second, so deadline
-//! and boundary times are exactly representable and the coincidences are
-//! exact, not approximate. Also covers: fragments that drain long before
-//! their boundary (idempotent terminal accrual), more epochs than events,
-//! closed-loop epoch identity, and the lane decomposition's thread
-//! invariance and conservation.
+//! Hand-built scenarios for the closed-loop lane decomposition: its
+//! thread invariance and request conservation, and the serial fallback
+//! for scenarios a lane split would couple.
 
 use neura_chip::config::ChipConfig;
 use neura_serve::{
-    simulate_config, simulate_config_parallel, simulate_config_traced,
-    simulate_config_traced_parallel, simulate_stream_config, simulate_stream_config_parallel,
-    simulate_stream_config_traced, simulate_stream_config_traced_parallel, AutoscalePolicy,
-    ClassCost, ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, Policy, Request, RequestClass,
+    simulate_config, simulate_config_parallel, simulate_config_traced_parallel, AutoscalePolicy,
+    ClassCost, ClosedLoopSpec, CostTable, DispatchKind, EnginePlan, Policy, RequestClass,
     ServeConfig, ShardGroup, Workload,
 };
 
@@ -38,160 +28,6 @@ fn costs() -> CostTable {
 
 fn tile16_fleet(n: usize) -> Vec<ShardGroup> {
     vec![ShardGroup::new("t16", ChipConfig::tile_16(), n)]
-}
-
-fn request(arrival_s: f64, dataset: usize, shrink: usize) -> Request {
-    Request { arrival_s, class: RequestClass { dataset, shrink }, tenant: 0 }
-}
-
-/// The hand-built boundary-straddling schedule. With `EPOCH_S = 1/64`:
-///
-/// - the t = 0 burst under-fills the batch, so its flush deadline is
-///   `0 + TIMEOUT = 1/64` — *exactly* the first epoch boundary;
-/// - a request arrives at exactly `1/64` too, coinciding with both the
-///   deadline and the boundary;
-/// - the autoscaler checks every `1/256`, so a check also lands exactly
-///   on every boundary (`1/64 = 4/256`), with more checks straddling it
-///   on both sides;
-/// - a straggler at `3/256` arrives *just* before the first boundary, so
-///   in-flight work and a non-empty backlog carry across the seam.
-const EPOCH_S: f64 = 1.0 / 64.0;
-const TIMEOUT_S: f64 = 1.0 / 64.0;
-const CHECK_S: f64 = 1.0 / 256.0;
-const PROVISION_S: f64 = 1.0 / 128.0;
-
-fn boundary_schedule() -> Vec<Request> {
-    let mut stream = vec![
-        // A burst at t = 0 that under-fills the max batch: flush happens
-        // on the timeout, exactly at the first epoch boundary.
-        request(0.0, 0, 1),
-        request(0.0, 0, 1),
-        request(0.0, 1, 2),
-        // Just before the boundary: queued work straddles the seam.
-        request(3.0 / 256.0, 1, 1),
-        // Exactly on the boundary, coinciding with the flush deadline.
-        request(1.0 / 64.0, 0, 2),
-        // Just after it.
-        request(5.0 / 256.0, 0, 1),
-    ];
-    // A sparse tail across several more boundaries keeps the autoscaler
-    // scaling both ways and the backlog draining and refilling.
-    for k in 0..12usize {
-        stream.push(request(1.0 / 32.0 + k as f64 * 3.0 / 256.0, k % 2, 1 + k % 2));
-    }
-    stream
-}
-
-#[test]
-fn batch_deadline_and_autoscale_check_fire_in_serial_order_at_the_boundary() {
-    let costs = costs();
-    let fleet = tile16_fleet(1);
-    let autoscale = AutoscalePolicy::new(1, 3)
-        .with_check_interval_s(CHECK_S)
-        .with_provision_delay_s(PROVISION_S)
-        .with_up_backlog_per_shard(2.0);
-    let mut cfg =
-        ServeConfig::new(Policy::batch(8, TIMEOUT_S), &fleet, DispatchKind::LeastLoaded, &costs);
-    cfg.autoscale = Some(&autoscale);
-    let stream = boundary_schedule();
-
-    let (serial, serial_trace) = simulate_stream_config_traced(&stream, &cfg);
-    // Epoch boundaries at every multiple of 1/64 — each one coincides
-    // with a batch flush deadline and an autoscaler check, and the first
-    // with an arrival as well.
-    for plan in [
-        EnginePlan::serial().with_epoch_s(EPOCH_S),
-        EnginePlan::serial().with_epoch_s(EPOCH_S).with_threads(1),
-        EnginePlan::serial().with_epochs(5),
-        EnginePlan::serial().with_epochs(2).with_threads(8),
-    ] {
-        let (epoch, epoch_trace) = simulate_stream_config_traced_parallel(&stream, &cfg, &plan);
-        assert_eq!(serial, epoch, "outcome must not depend on the epoch plan {plan:?}");
-        assert_eq!(serial_trace, epoch_trace, "trace order must survive the seam {plan:?}");
-        assert_eq!(epoch, simulate_stream_config_parallel(&stream, &cfg, &plan));
-    }
-    // The schedule really exercises what it claims: batching happened and
-    // the autoscaler really moved.
-    assert!(serial.batch_sizes.iter().any(|&b| b > 1), "the burst must batch");
-    assert!(!serial.scale_events.is_empty(), "the autoscaler must act");
-    assert_eq!(serial.requests(), stream.len());
-}
-
-#[test]
-fn fragments_that_drain_before_their_boundary_stay_identical() {
-    let costs = costs();
-    let fleet = tile16_fleet(2);
-    let cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
-    // Two tight clusters separated by a long quiet gap: with many epochs,
-    // whole fragments drain to idle long before their boundary, and the
-    // fragments after the last arrival re-enter an already-drained state
-    // (the terminal accrual must be idempotent).
-    let mut stream: Vec<Request> = (0..6).map(|i| request(0.0, i % 2, 1)).collect();
-    for i in 0..6usize {
-        stream.push(request(0.75 + i as f64 * 1.0 / 1024.0, i % 2, 2));
-    }
-    let serial = simulate_stream_config(&stream, &cfg);
-    for epochs in [2usize, 3, 7, 64, 1024] {
-        let plan = EnginePlan::serial().with_epochs(epochs);
-        assert_eq!(
-            serial,
-            simulate_stream_config_parallel(&stream, &cfg, &plan),
-            "draining early must not perturb the merge at {epochs} epochs"
-        );
-    }
-}
-
-#[test]
-fn closed_loop_epochs_match_the_serial_replay() {
-    let costs = costs();
-    let fleet = tile16_fleet(2);
-    let cfg = ServeConfig::new(Policy::Sjf, &fleet, DispatchKind::LeastLoaded, &costs);
-    let workload = Workload::Closed(ClosedLoopSpec {
-        clients: 12,
-        think_s: 0.002,
-        duration_s: 0.5,
-        mix_size: 2,
-        shrinks: vec![1, 2],
-        seed: 7,
-    });
-    let (serial, serial_trace) = simulate_config_traced(&workload, &cfg);
-    for epochs in [2usize, 5, 16] {
-        let plan = EnginePlan::serial().with_epochs(epochs);
-        let (epoch, epoch_trace) = simulate_config_traced_parallel(&workload, &cfg, &plan);
-        assert_eq!(serial, epoch, "closed-loop epochs must merge exactly ({epochs})");
-        assert_eq!(serial_trace, epoch_trace);
-        let _ = plan;
-    }
-}
-
-#[test]
-fn shedding_across_seams_conserves_every_request() {
-    let costs = costs();
-    let fleet = tile16_fleet(1);
-    let mut cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
-    cfg.queue_bound = Some(2);
-    // An overloading burst right before each boundary: admissions and
-    // sheds happen on both sides of every seam.
-    let mut stream = Vec::new();
-    for k in 0..8usize {
-        let base = k as f64 * 1.0 / 64.0;
-        for j in 0..12usize {
-            stream.push(request(base + j as f64 / 8192.0, j % 2, 1));
-        }
-    }
-    let serial = simulate_stream_config(&stream, &cfg);
-    assert!(!serial.shed.is_empty(), "the bound must actually shed");
-    for epochs in [2usize, 4, 8] {
-        let plan = EnginePlan::serial().with_epochs(epochs);
-        let epoch = simulate_stream_config_parallel(&stream, &cfg, &plan);
-        assert_eq!(serial, epoch);
-        // Conservation across seams: every request is served or shed
-        // exactly once, never both, never dropped.
-        assert_eq!(epoch.requests() + epoch.shed.len(), stream.len());
-        let served: Vec<usize> =
-            (0..stream.len()).filter(|&id| epoch.latencies_s[id] >= 0.0).collect();
-        assert!(served.iter().all(|id| !epoch.shed.contains(id)));
-    }
 }
 
 #[test]
@@ -237,14 +73,15 @@ fn lane_decomposition_is_thread_invariant_and_conserves_requests() {
 }
 
 #[test]
-fn ineligible_scenarios_fall_back_to_epochs_under_a_lane_plan() {
+fn ineligible_scenarios_fall_back_to_serial_under_a_lane_plan() {
     let costs = costs();
     let fleet = tile16_fleet(2);
-    let autoscale = AutoscalePolicy::new(1, 3).with_check_interval_s(CHECK_S);
+    let autoscale = AutoscalePolicy::new(1, 3).with_check_interval_s(1.0 / 256.0);
     let mut cfg = ServeConfig::new(Policy::Fifo, &fleet, DispatchKind::LeastLoaded, &costs);
     cfg.autoscale = Some(&autoscale);
     // Autoscaling makes the closed loop ineligible for lanes: the plan's
-    // lane request must quietly degrade to the (exact) epoch path.
+    // lane request must quietly degrade to the serial replay, on any
+    // thread count.
     let workload = Workload::Closed(ClosedLoopSpec {
         clients: 8,
         think_s: 0.001,
@@ -254,6 +91,9 @@ fn ineligible_scenarios_fall_back_to_epochs_under_a_lane_plan() {
         seed: 3,
     });
     let serial = simulate_config(&workload, &cfg);
-    let plan = EnginePlan::serial().with_lanes(4).with_epochs(3);
-    assert_eq!(serial, simulate_config_parallel(&workload, &cfg, &plan));
+    assert!(!serial.scale_events.is_empty(), "the autoscaler must act");
+    for threads in [1usize, 2, 8] {
+        let plan = EnginePlan::serial().with_lanes(4).with_threads(threads);
+        assert_eq!(serial, simulate_config_parallel(&workload, &cfg, &plan));
+    }
 }

@@ -34,8 +34,7 @@ pub const RELATIVE_ERROR_BOUND: f64 = 1.0 / 256.0;
 /// [`RELATIVE_ERROR_BOUND`] of the exact-sort percentile.
 /// [`Self::merge`] adds bucket counts, so the histogram of a
 /// concatenated stream equals the merge of its parts' histograms —
-/// the property windowed percentiles and the future fragment-merge
-/// engine both rely on. (Integers up to `2^(SUB_BUCKET_BITS + 1)` land
+/// the property windowed percentiles rely on. (Integers up to `2^(SUB_BUCKET_BITS + 1)` land
 /// in distinct buckets and are reported exactly-ranked, which is why
 /// the chip profiler can also feed it small integer counts like NoC hop
 /// distances.)

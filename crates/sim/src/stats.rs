@@ -1,49 +1,10 @@
-//! Simulation statistics: counters, histograms and a registry.
+//! Simulation statistics: fixed-bin histograms.
 //!
-//! Every figure in the paper is a view over statistics of this kind:
-//! Figure 11 plots counters (stall cycles, busy cycles, in-flight
-//! instructions), Figures 14/15 plot binned histograms of per-instruction
-//! cycle counts, Figures 12/13 plot per-resource work histograms.  The
-//! registry replaces NeuraSim's MongoDB back-end with an in-memory,
-//! serde-serialisable store.
+//! Figures 14/15 of the paper plot binned histograms of per-instruction
+//! cycle counts, and Figures 12/13 plot per-resource work histograms;
+//! [`Histogram`] is the store behind both.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    pub fn increment(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `amount`.
-    pub fn add(&mut self, amount: u64) {
-        self.value += amount;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.value)
-    }
-}
 
 /// A fixed-bin histogram over `u64` samples (e.g. cycles-per-instruction).
 ///
@@ -177,82 +138,9 @@ impl Histogram {
     }
 }
 
-/// A named collection of counters and histograms.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct StatsRegistry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl StatsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        StatsRegistry::default()
-    }
-
-    /// Returns the counter with the given name, creating it if necessary.
-    pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
-    }
-
-    /// Returns the value of a counter, or 0 when it does not exist.
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, Counter::value)
-    }
-
-    /// Returns the histogram with the given name, creating it with the given
-    /// shape if necessary.
-    pub fn histogram(&mut self, name: &str, bin_width: u64, bin_count: usize) -> &mut Histogram {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bin_width, bin_count))
-    }
-
-    /// Returns a histogram if it exists.
-    pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates over all counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(name, c)| (name.as_str(), c.value()))
-    }
-
-    /// Merges another registry into this one (counters add, histograms merge bin-wise).
-    pub fn merge(&mut self, other: &StatsRegistry) {
-        for (name, counter) in &other.counters {
-            self.counters.entry(name.clone()).or_default().add(counter.value());
-        }
-        for (name, hist) in &other.histograms {
-            let entry = self
-                .histograms
-                .entry(name.clone())
-                .or_insert_with(|| Histogram::new(hist.bin_width, hist.bins.len()));
-            if entry.bin_width == hist.bin_width && entry.bins.len() == hist.bins.len() {
-                for (a, b) in entry.bins.iter_mut().zip(hist.bins.iter()) {
-                    *a += b;
-                }
-                entry.count += hist.count;
-                entry.sum += hist.sum;
-                entry.min = entry.min.min(hist.min);
-                entry.max = entry.max.max(hist.max);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.increment();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn histogram_bins_and_overflow() {
@@ -301,25 +189,6 @@ mod tests {
         assert_eq!(h.min(), None);
         assert_eq!(h.percentile(99.0), 0);
         assert_eq!(h.percentages(), vec![0.0; 4]);
-    }
-
-    #[test]
-    fn registry_creates_on_demand_and_merges() {
-        let mut a = StatsRegistry::new();
-        a.counter("stall_cycles").add(5);
-        a.histogram("cpi", 25, 4).record(30);
-
-        let mut b = StatsRegistry::new();
-        b.counter("stall_cycles").add(7);
-        b.counter("busy_cycles").add(2);
-        b.histogram("cpi", 25, 4).record(80);
-
-        a.merge(&b);
-        assert_eq!(a.counter_value("stall_cycles"), 12);
-        assert_eq!(a.counter_value("busy_cycles"), 2);
-        assert_eq!(a.counter_value("missing"), 0);
-        let h = a.get_histogram("cpi").unwrap();
-        assert_eq!(h.count(), 2);
     }
 
     #[test]

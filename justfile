@@ -65,23 +65,23 @@ serve:
     NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- --json
     ls -l target/artifacts/serve.json
 
-# Parallel-in-time serving engine checks: the smoke sweep replayed as 3
-# epoch fragments on 2 and 8 workers must reproduce the serial artifact
-# byte for byte (--no-meta strips the wall-clock meta so cmp is exact);
-# the serial artifact is additionally gated byte-for-byte against the
-# committed baseline (re-baseline deliberately with
-# `just serve-rebaseline`); and the --speedup demo replays one 100k-client
-# closed-loop lane scenario pinned to one thread and on the full pool,
-# asserting identical outcomes and reporting the measured speedup.
+# Serving engine determinism checks: the serial smoke sweep rerun on 2
+# and 8 workers must reproduce the default-pool artifact byte for byte
+# (--no-meta strips the wall-clock meta so cmp is exact); the serial
+# artifact is additionally gated byte-for-byte against the committed
+# baseline (re-baseline deliberately with `just serve-rebaseline`); and
+# the --speedup demo replays one 100k-client closed-loop lane scenario
+# pinned to one thread and on the full pool, asserting identical outcomes
+# and reporting the measured speedup.
 serve-parallel:
     NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- \
         --json target/artifacts/serve-serial.json --no-meta
     NEURA_LAB_THREADS=2 NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- \
-        --json target/artifacts/serve-epochs-t2.json --no-meta --epochs 3
+        --json target/artifacts/serve-t2.json --no-meta
     NEURA_LAB_THREADS=8 NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- \
-        --json target/artifacts/serve-epochs-t8.json --no-meta --epochs 3
-    cmp target/artifacts/serve-serial.json target/artifacts/serve-epochs-t2.json
-    cmp target/artifacts/serve-serial.json target/artifacts/serve-epochs-t8.json
+        --json target/artifacts/serve-t8.json --no-meta
+    cmp target/artifacts/serve-serial.json target/artifacts/serve-t2.json
+    cmp target/artifacts/serve-serial.json target/artifacts/serve-t8.json
     cargo run --release -q -p neura_bench --bin trend -- \
         baselines/serve-smoke.json target/artifacts/serve-serial.json --fail-above 0
     NEURA_BENCH_SCALE_MULT=32 cargo run --release -q -p neura_bench --bin serve -- --speedup --lanes 8
